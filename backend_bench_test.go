@@ -73,7 +73,7 @@ func backendBenchSetup(tb testing.TB) *backendBenchState {
 			st.colls[spec.Kind] = col
 		}
 		st.pats = make(map[int][][]byte)
-		for _, m := range []int{4, 12, 24, 48} {
+		for _, m := range []int{2, 4, 12, 24, 48} {
 			st.pats[m] = gen.CollectionPatterns(st.docs, 32, m, 19)
 		}
 	})
@@ -89,9 +89,10 @@ func BenchmarkBackendSearch(b *testing.B) {
 	st := backendBenchSetup(b)
 	for _, spec := range backendBenchSpecs {
 		col := st.colls[spec.Kind]
-		for _, m := range []int{4, 12, 24, 48} {
+		for _, m := range []int{2, 4, 12, 24, 48} {
 			b.Run(fmt.Sprintf("backend=%s/m=%d", spec.Kind, m), func(b *testing.B) {
 				pats := st.pats[m]
+				b.ReportAllocs()
 				b.ReportMetric(bytesPerDoc(col), "index-B/doc")
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -112,6 +113,7 @@ func BenchmarkBackendTopK(b *testing.B) {
 		col := st.colls[backend]
 		b.Run("backend="+backend, func(b *testing.B) {
 			pats := st.pats[4]
+			b.ReportAllocs()
 			b.ReportMetric(bytesPerDoc(col), "index-B/doc")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -129,6 +131,7 @@ func BenchmarkBackendCount(b *testing.B) {
 		col := st.colls[spec.Kind]
 		b.Run("backend="+spec.Kind, func(b *testing.B) {
 			pats := st.pats[4]
+			b.ReportAllocs()
 			b.ReportMetric(bytesPerDoc(col), "index-B/doc")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -144,6 +147,7 @@ func BenchmarkBackendBuild(b *testing.B) {
 	st := backendBenchSetup(b)
 	for _, spec := range backendBenchSpecs {
 		b.Run("backend="+spec.Kind, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				doc := st.docs[i%len(st.docs)]
 				if _, err := spec.Build(doc, backendBenchTauMin); err != nil {
@@ -176,6 +180,9 @@ type bench4 struct {
 	} `json:"workload"`
 	Backends         map[string]bench4Backend `json:"backends"`
 	BytesPerDocRatio float64                  `json:"bytes_per_doc_ratio_plain_over_compressed"`
+	// SearchNsRatio is, per pattern length, what the space saving costs:
+	// compressed search ns/op over plain search ns/op.
+	SearchNsRatio map[string]float64 `json:"search_ns_ratio_compressed_over_plain"`
 }
 
 // TestWriteBench4JSON measures both backends on the standard workload and
@@ -210,7 +217,7 @@ func TestWriteBench4JSON(t *testing.T) {
 			}
 		})
 		entry.BuildNsPerDoc = build.NsPerOp()
-		for _, m := range []int{4, 12} {
+		for _, m := range []int{2, 4, 12} {
 			pats := st.pats[m]
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -243,6 +250,10 @@ func TestWriteBench4JSON(t *testing.T) {
 	}
 	doc.BytesPerDocRatio = doc.Backends[core.BackendPlain].BytesPerDoc /
 		doc.Backends[core.BackendCompressed].BytesPerDoc
+	doc.SearchNsRatio = make(map[string]float64)
+	for m, plainNs := range doc.Backends[core.BackendPlain].SearchNsPerOp {
+		doc.SearchNsRatio[m] = float64(doc.Backends[core.BackendCompressed].SearchNsPerOp[m]) / float64(plainNs)
+	}
 	if doc.BytesPerDocRatio < 2 {
 		t.Errorf("compressed backend saves only %.2fx on bytes/doc (acceptance bar: ≥ 2x)",
 			doc.BytesPerDocRatio)

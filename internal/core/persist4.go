@@ -15,7 +15,6 @@ import (
 	"repro/internal/prob"
 	"repro/internal/rank"
 	"repro/internal/ustring"
-	"repro/internal/wavelet"
 )
 
 // Format 4 is the flat envelope (internal/mapped): instead of gob-encoding
@@ -284,10 +283,6 @@ func backendFromEnvelope(env *mapped.Envelope, eager bool) (Backend, error) {
 			return nil, fmt.Errorf("%w: level %d: %w", ErrCorruptIndex, d, err)
 		}
 	}
-	bwt, err := wavelet.FromParts(meta.n+1, alphabet, levels)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorruptIndex, err)
-	}
 
 	sampledWords, err := regionU64s(env, tagSampledWords, "sampled words")
 	if err != nil {
@@ -305,7 +300,7 @@ func backendFromEnvelope(env *mapped.Envelope, eager bool) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmx, err := fm.FromParts(bwt, counts, sampled, samples, meta.rate, meta.n)
+	fmx, err := fm.FromParts(alphabet, levels, counts, sampled, samples, meta.rate, meta.n)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorruptIndex, err)
 	}

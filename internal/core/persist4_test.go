@@ -134,6 +134,52 @@ func TestFormat4Equivalence(t *testing.T) {
 	})
 }
 
+// TestFormat4ParentFixture pins the file format across the kernel rewrite:
+// testdata/format4_pr11.idx was written by the commit before the wavelet
+// descent tables existed (gen.Single N=120 θ=0.3 seed 467, τmin 0.1). The
+// tables are derived at open, never persisted, so the old file must open
+// (mapped and streamed), answer exactly like a fresh build, re-save
+// byte-identically, and a fresh build must still serialise to the same bytes.
+func TestFormat4ParentFixture(t *testing.T) {
+	path := filepath.Join("testdata", "format4_pr11.idx")
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := gen.Single(gen.Config{N: 120, Theta: 0.3, Seed: 467})
+	built, err := BuildCompressed(s, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh bytes.Buffer
+	if _, err := built.WriteTo(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh.Bytes(), golden) {
+		t.Error("a fresh build no longer serialises to the parent commit's bytes")
+	}
+
+	streamed, err := ReadBackend(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatalf("ReadBackend(parent file): %v", err)
+	}
+	queryGrid(t, s, built, streamed, "parent-file stream")
+
+	opened, _, err := OpenBackendFile(path, true)
+	if err != nil {
+		t.Fatalf("OpenBackendFile(parent file): %v", err)
+	}
+	defer CloseBackend(opened)
+	queryGrid(t, s, built, opened, "parent-file mmap")
+	var again bytes.Buffer
+	if _, err := opened.(*CompressedIndex).WriteTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), golden) {
+		t.Error("re-saved parent file is not byte-identical")
+	}
+}
+
 func TestFormat4CorrelatedEquivalence(t *testing.T) {
 	s := &ustring.String{
 		Pos: []ustring.Position{
@@ -266,5 +312,49 @@ func FuzzReadBackend(f *testing.F) {
 		}
 		_, _ = b.SearchCount([]byte("a"), 0.9)
 		_ = CloseBackend(b)
+	})
+}
+
+// FuzzQuery drives the compressed query path over envelopes whose payload
+// bits were flipped after writing. The envelope is opened the way the mmap
+// fast path opens it — structure validated, checksums not — so corrupt rank
+// words, samples and prefix sums reach backward search, the LF walks and the
+// window arithmetic. Such an index may mis-answer; it must never panic, and
+// every walk must terminate.
+func FuzzQuery(f *testing.F) {
+	s := gen.Single(gen.Config{N: 150, Theta: 0.3, Seed: 443})
+	cx, err := BuildCompressed(s, 0.1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var env bytes.Buffer
+	if _, err := cx.WriteTo(&env); err != nil {
+		f.Fatal(err)
+	}
+	raw := env.Bytes()
+	for _, p := range gen.Patterns(s, 4, 2, 449) {
+		f.Add(p, 0.12, 3, uint32(len(raw)/2), byte(0x10))
+	}
+	f.Add([]byte("ab"), 0.5, 1, uint32(0), byte(0)) // pristine envelope
+	f.Add([]byte{0xFF, 0}, 0.9, 0, uint32(len(raw)-9), byte(0xFF))
+
+	f.Fuzz(func(t *testing.T, p []byte, tau float64, k int, at uint32, flip byte) {
+		data := append([]byte(nil), raw...)
+		// Flip a run of bytes, not one: a lone flip rarely lands where a
+		// short query reads.
+		for i := 0; i < 64; i++ {
+			data[(int(at)+i*97)%len(data)] ^= flip
+		}
+		e, err := mapped.Open(data)
+		if err != nil {
+			return
+		}
+		b, err := backendFromEnvelope(e, false)
+		if err != nil {
+			return
+		}
+		_, _ = b.SearchHits(p, tau)
+		_, _ = b.SearchTopK(p, k)
+		_, _ = b.SearchCount(p, tau)
 	})
 }

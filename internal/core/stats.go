@@ -56,10 +56,13 @@ const (
 	// plainBlockBytes: one long-pattern block maximum — the float32 value
 	// plus its RMQ node.
 	plainBlockBytes = 8
-	// fmStepBytes: one FM backward-search step — two wavelet-tree Rank
-	// calls, each descending log σ bit-vector levels.
+	// fmStepBytes: one FM backward-search step — a two-boundary wavelet-tree
+	// descent, two reads at each of log σ bit-vector levels.
 	fmStepBytes = 16
-	// fmHopBytes: one LF hop of the Locate walk — an Access plus a Rank.
+	// fmHopBytes: one LF hop of the Locate walk — one wavelet-tree descent,
+	// a fused rank-and-bit read at each of log σ levels. (The value predates
+	// the one-descent LF and is kept: EstimateQuery's calibration and
+	// OPERATIONS.md's $/query table are derived from it.)
 	fmHopBytes = 12
 	// fmCandidateBytes: one located FM row — sampled-SA read (4) + two
 	// prefix sums (16) + Pos read (4).

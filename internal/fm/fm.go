@@ -121,8 +121,8 @@ func (ix *Index) Range(p []byte) (lo, hi int, ok bool) {
 }
 
 // RangeCount is Range plus the number of backward-search steps taken (each
-// step is two wavelet-tree Rank calls) — the wavelet-step count cost
-// attribution charges as suffix steps.
+// step is one two-boundary wavelet-tree descent) — the wavelet-step count
+// cost attribution charges as suffix steps.
 func (ix *Index) RangeCount(p []byte) (lo, hi int, ok bool, steps int) {
 	if len(p) == 0 {
 		if ix.n == 0 {
@@ -139,15 +139,13 @@ func (ix *Index) RangeCount(p []byte) (lo, hi int, ok bool, steps int) {
 		c := p[i] + 1
 		base := int(ix.counts[c])
 		steps++
-		l = base + ix.bwt.Rank(c, l)
-		r = base + ix.bwt.Rank(c, r)
+		rl, rr := ix.bwt.Rank2(c, l, r)
+		l, r = base+rl, base+rr
 		// With a well-formed index l and r stay within [0, n+1]; over
-		// corrupt (e.g. unverified mapped) data the cumulative counts can
-		// push them past the row count, so clamp before they are used as
-		// row indexes anywhere downstream.
-		if r > ix.n+1 {
-			r = ix.n + 1
-		}
+		// corrupt (e.g. unverified mapped) data the ranks can push them
+		// outside the row range, so clamp before they are used as row
+		// indexes anywhere downstream.
+		l, r = max(l, 0), min(r, ix.n+1)
 		if l >= r {
 			return 0, -1, false, steps
 		}
@@ -166,13 +164,14 @@ func (ix *Index) Count(p []byte) int {
 	return hi - lo + 1
 }
 
-// lf is the last-to-first mapping on rows. The result is clamped to the
-// valid row range: corrupt cumulative counts must not drive the LF walk
-// out of bounds (the walk's hop bound then terminates it).
+// lf is the last-to-first mapping on rows: the BWT holds exactly the
+// symbols counts tallies, so the tree's leaf order is the first column and
+// one descent lands on the target row. The result is clamped to the valid
+// row range: corrupt level bits must not drive the LF walk out of bounds
+// (the walk's hop bound then terminates it).
 func (ix *Index) lf(row int) int {
-	c := ix.bwt.Access(row)
-	v := int(ix.counts[c]) + ix.bwt.Rank(c, row)
-	if v > ix.n {
+	v := ix.bwt.LF(row)
+	if uint(v) > uint(ix.n) {
 		v = 0
 	}
 	return v

@@ -30,20 +30,20 @@ func (ix *Index) SampleRate() int { return ix.rate }
 
 // FromParts reassembles an Index from persisted parts — typically wavelet
 // levels and sample tables whose storage is mmap'd — without running the
-// suffix-array construction. The invariants checked here (row counts,
-// monotone cumulative counts summing to n+1, sample table sized to the
-// sampled-row popcount) are exactly what the backward-search and LF-walk
-// code needs to stay in bounds over hostile data; sample *values* are not
-// scanned (that would fault the whole table) and are range-clamped at use.
-func FromParts(bwt *wavelet.Tree, counts []int32, sampled *rank.Bits, samples []int32, rate, n int) (*Index, error) {
+// suffix-array construction. The BWT's tree is assembled here because its
+// per-symbol counts are differences of the cumulative counts, which spares
+// it reading a level word. The invariants checked (row counts, monotone
+// cumulative counts summing to n+1 that agree with the alphabet, sample
+// table sized to the sampled-row popcount) are exactly what the
+// backward-search and LF-walk code needs to stay in bounds over hostile
+// data; sample *values* are not scanned (that would fault the whole table)
+// and are range-clamped at use.
+func FromParts(alphabet []byte, levels []*rank.Bits, counts []int32, sampled *rank.Bits, samples []int32, rate, n int) (*Index, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: negative text length %d", ErrBadParts, n)
 	}
 	if rate < 1 {
 		return nil, fmt.Errorf("%w: sample rate %d", ErrBadParts, rate)
-	}
-	if bwt == nil || bwt.Len() != n+1 {
-		return nil, fmt.Errorf("%w: BWT covers %d rows, want %d", ErrBadParts, bwt.Len(), n+1)
 	}
 	if sampled == nil || sampled.Len() != n+1 {
 		return nil, fmt.Errorf("%w: sampled bit vector covers %d rows, want %d",
@@ -67,6 +67,14 @@ func FromParts(bwt *wavelet.Tree, counts []int32, sampled *rank.Bits, samples []
 	if len(samples) != sampled.Ones() {
 		return nil, fmt.Errorf("%w: %d samples for %d sampled rows",
 			ErrBadParts, len(samples), sampled.Ones())
+	}
+	occ := make([]int32, len(alphabet))
+	for code, c := range alphabet {
+		occ[code] = counts[int(c)+1] - counts[c]
+	}
+	bwt, err := wavelet.FromParts(n+1, alphabet, occ, levels)
+	if err != nil {
+		return nil, fmt.Errorf("%w: BWT: %w", ErrBadParts, err)
 	}
 	ix := &Index{bwt: bwt, sampled: sampled, samples: samples, rate: rate, n: n}
 	copy(ix.counts[:], counts)

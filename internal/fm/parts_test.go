@@ -10,7 +10,7 @@ func TestFromPartsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := FromParts(orig.BWT(), orig.Counts(), orig.SampledRows(),
+	re, err := FromParts(orig.BWT().Alphabet(), orig.BWT().Levels(), orig.Counts(), orig.SampledRows(),
 		orig.Samples(), orig.SampleRate(), orig.Len())
 	if err != nil {
 		t.Fatalf("FromParts: %v", err)
@@ -36,21 +36,26 @@ func TestFromPartsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromParts(orig.BWT(), orig.Counts(), orig.SampledRows(), orig.Samples(), 0, orig.Len()); err == nil {
+	if _, err := FromParts(orig.BWT().Alphabet(), orig.BWT().Levels(), orig.Counts(), orig.SampledRows(), orig.Samples(), 0, orig.Len()); err == nil {
 		t.Error("zero rate accepted")
 	}
-	if _, err := FromParts(orig.BWT(), orig.Counts(), orig.SampledRows(), orig.Samples(), 2, orig.Len()+1); err == nil {
+	if _, err := FromParts(orig.BWT().Alphabet(), orig.BWT().Levels(), orig.Counts(), orig.SampledRows(), orig.Samples(), 2, orig.Len()+1); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := FromParts(orig.BWT(), orig.Counts()[:10], orig.SampledRows(), orig.Samples(), 2, orig.Len()); err == nil {
+	if _, err := FromParts(orig.BWT().Alphabet(), orig.BWT().Levels(), orig.Counts()[:10], orig.SampledRows(), orig.Samples(), 2, orig.Len()); err == nil {
 		t.Error("short counts accepted")
 	}
 	bad := append([]int32(nil), orig.Counts()...)
 	bad[10] = bad[11] + 5
-	if _, err := FromParts(orig.BWT(), bad, orig.SampledRows(), orig.Samples(), 2, orig.Len()); err == nil {
+	if _, err := FromParts(orig.BWT().Alphabet(), orig.BWT().Levels(), bad, orig.SampledRows(), orig.Samples(), 2, orig.Len()); err == nil {
 		t.Error("non-monotonic counts accepted")
 	}
-	if _, err := FromParts(orig.BWT(), orig.Counts(), orig.SampledRows(), orig.Samples()[:1], 2, orig.Len()); err == nil {
+	if _, err := FromParts(orig.BWT().Alphabet(), orig.BWT().Levels(), orig.Counts(), orig.SampledRows(), orig.Samples()[:1], 2, orig.Len()); err == nil {
 		t.Error("sample table size mismatch accepted")
+	}
+	// An alphabet the cumulative counts do not tally: 'z' never occurs.
+	alien := append(append([]byte(nil), orig.BWT().Alphabet()...), 'z'+1)
+	if _, err := FromParts(alien, orig.BWT().Levels(), orig.Counts(), orig.SampledRows(), orig.Samples(), 2, orig.Len()); err == nil {
+		t.Error("alphabet disagreeing with counts accepted")
 	}
 }

@@ -82,36 +82,46 @@ func (v *Bits) Get(i int) bool {
 	return v.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
-// Rank1 returns the number of set bits strictly before position i
-// (0 ≤ i ≤ Len).
+// Rank1 returns the number of set bits strictly before position i, with i
+// clamped into [0, Len]: the fused step at i-1 plus that position's own bit,
+// which never touches a word past the end.
 func (v *Bits) Rank1(i int) int {
+	i = min(i, v.n)
 	if i <= 0 {
 		return 0
 	}
-	if i > v.n {
-		i = v.n
-	}
-	word := i / wordBits
-	blk := word / blockSize
-	r := int(v.blocks[blk])
-	for w := blk * blockSize; w < word; w++ {
-		r += bits.OnesCount64(v.words[w])
-	}
-	if rem := uint(i) % wordBits; rem != 0 {
-		r += bits.OnesCount64(v.words[word] & ((1 << rem) - 1))
-	}
-	return r
+	ones, bit := v.Rank1Get(i - 1)
+	return ones + bit
 }
 
-// Rank0 returns the number of clear bits strictly before position i.
-func (v *Bits) Rank0(i int) int {
-	if i < 0 {
-		i = 0
+// Rank1Get is Rank1(i) and Get(i) fused (0 ≤ i < Len; bit is 0 or 1): one
+// block-count load and one pass over i's 512-bit block answer both — the
+// step a wavelet-tree descent takes once per level.
+//
+// How many whole words precede i inside its block is as good as random to a
+// branch predictor, and a loop over them mispredicts its exit on nearly
+// every call; so a full block counts all seven candidate words and masks
+// out (with the sign of j-k) those at or after i's. Only a short last block
+// takes the loop.
+func (v *Bits) Rank1Get(i int) (ones, bit int) {
+	word := uint(i) / wordBits
+	blk := word / blockSize
+	ones = int(v.blocks[blk])
+	if base := blk * blockSize; base+blockSize <= uint(len(v.words)) {
+		ws := (*[blockSize]uint64)(v.words[base:])
+		k := int(word % blockSize)
+		ones += bits.OnesCount64(ws[0])&((0-k)>>63) + bits.OnesCount64(ws[1])&((1-k)>>63) +
+			bits.OnesCount64(ws[2])&((2-k)>>63) + bits.OnesCount64(ws[3])&((3-k)>>63) +
+			bits.OnesCount64(ws[4])&((4-k)>>63) + bits.OnesCount64(ws[5])&((5-k)>>63) +
+			bits.OnesCount64(ws[6])&((6-k)>>63)
+	} else {
+		for _, w := range v.words[base:word] {
+			ones += bits.OnesCount64(w)
+		}
 	}
-	if i > v.n {
-		i = v.n
-	}
-	return i - v.Rank1(i)
+	w := v.words[word]
+	sh := uint(i) % wordBits
+	return ones + bits.OnesCount64(w&(1<<sh-1)), int(w >> sh & 1)
 }
 
 // Select1 returns the position of the (k+1)-th set bit (k ≥ 0), or -1 when
@@ -125,23 +135,6 @@ func (v *Bits) Select1(k int) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if v.Rank1(mid+1) <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Select0 returns the position of the (k+1)-th clear bit, or -1.
-func (v *Bits) Select0(k int) int {
-	if k < 0 || k >= v.n-v.ones {
-		return -1
-	}
-	lo, hi := 0, v.n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v.Rank0(mid+1) <= k {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -29,21 +29,13 @@ func TestRankSmall(t *testing.T) {
 		if got, want := v.Rank1(i), bruteRank1(bs, i); got != want {
 			t.Errorf("Rank1(%d) = %d, want %d", i, got, want)
 		}
-		if got, want := v.Rank0(i), i-bruteRank1(bs, i); i <= 7 && got != want {
-			t.Errorf("Rank0(%d) = %d, want %d", i, got, want)
-		}
 	}
 	for i, want := range []int{0, 2, 3, 6} {
 		if got := v.Select1(i); got != want {
 			t.Errorf("Select1(%d) = %d, want %d", i, got, want)
 		}
 	}
-	for i, want := range []int{1, 4, 5} {
-		if got := v.Select0(i); got != want {
-			t.Errorf("Select0(%d) = %d, want %d", i, got, want)
-		}
-	}
-	if v.Select1(4) != -1 || v.Select0(3) != -1 || v.Select1(-1) != -1 {
+	if v.Select1(4) != -1 || v.Select1(-1) != -1 {
 		t.Error("out-of-range select must return -1")
 	}
 }
@@ -65,6 +57,25 @@ func TestRankAcrossBlockBoundaries(t *testing.T) {
 	}
 }
 
+// The fused step must agree with (Rank1, Get) at every position, including
+// those of a short last block (fewer than 8 words) and a short last word.
+func TestRank1GetMatchesRank1AndGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 63, 64, 65, 511, 512, 513, 575, 576, 1024, 4097} {
+		bs := make([]bool, n)
+		for i := range bs {
+			bs[i] = rng.Intn(3) == 0
+		}
+		v := FromBools(bs)
+		for i := 0; i < n; i++ {
+			ones, bit := v.Rank1Get(i)
+			if ones != v.Rank1(i) || (bit == 1) != v.Get(i) || bit>>1 != 0 {
+				t.Fatalf("n=%d Rank1Get(%d) = (%d, %d), want (%d, %v)", n, i, ones, bit, v.Rank1(i), v.Get(i))
+			}
+		}
+	}
+}
+
 func TestSelectInvertsRank(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -77,12 +88,6 @@ func TestSelectInvertsRank(t *testing.T) {
 		for k := 0; k < v.Ones(); k += 1 + k/9 {
 			p := v.Select1(k)
 			if p < 0 || !v.Get(p) || v.Rank1(p) != k {
-				return false
-			}
-		}
-		for k := 0; k < n-v.Ones(); k += 1 + k/9 {
-			p := v.Select0(k)
-			if p < 0 || v.Get(p) || v.Rank0(p) != k {
 				return false
 			}
 		}

@@ -19,14 +19,17 @@ func (t *Tree) Alphabet() []byte { return t.alphabet }
 func (t *Tree) Levels() []*rank.Bits { return t.levels }
 
 // FromParts reassembles a Tree from its persisted parts — typically bit
-// vectors whose storage is mmap'd — without rebuilding. The code table is
-// recomputed from the alphabet (it is derived state, never persisted).
+// vectors whose storage is mmap'd — without rebuilding. counts[code] is the
+// number of occurrences of alphabet[code]; the code table and the descent
+// tables are recomputed from the alphabet and the counts (derived state,
+// never persisted) without reading a level word.
 //
 // The alphabet must be strictly ascending (this is how New emits it, and
-// it implies uniqueness), the level count must equal ⌈log₂ σ⌉, and every
-// level must cover exactly n positions; those invariants are what the
-// query code relies on to stay in bounds over hostile data.
-func FromParts(n int, alphabet []byte, levels []*rank.Bits) (*Tree, error) {
+// it implies uniqueness), every symbol must occur and the counts must sum
+// to n, the level count must equal ⌈log₂ σ⌉, and every level must cover
+// exactly n positions; those invariants are what the query code relies on
+// to stay in bounds over hostile data.
+func FromParts(n int, alphabet []byte, counts []int32, levels []*rank.Bits) (*Tree, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: negative length %d", ErrBadParts, n)
 	}
@@ -35,8 +38,18 @@ func FromParts(n int, alphabet []byte, levels []*rank.Bits) (*Tree, error) {
 			return nil, fmt.Errorf("%w: alphabet not strictly ascending at %d", ErrBadParts, i)
 		}
 	}
-	if n > 0 && len(alphabet) == 0 {
-		return nil, fmt.Errorf("%w: %d positions with empty alphabet", ErrBadParts, n)
+	if len(counts) != len(alphabet) {
+		return nil, fmt.Errorf("%w: %d symbol counts for alphabet size %d", ErrBadParts, len(counts), len(alphabet))
+	}
+	total := 0
+	for code, k := range counts {
+		if k < 1 {
+			return nil, fmt.Errorf("%w: symbol %d occurs %d times", ErrBadParts, alphabet[code], k)
+		}
+		total += int(k)
+	}
+	if total != n {
+		return nil, fmt.Errorf("%w: symbol counts sum to %d, want %d", ErrBadParts, total, n)
 	}
 	depth := 0
 	for 1<<depth < len(alphabet) {
@@ -59,5 +72,6 @@ func FromParts(n int, alphabet []byte, levels []*rank.Bits) (*Tree, error) {
 	for code, c := range alphabet {
 		t.code[c] = int16(code)
 	}
+	t.buildSteps(counts)
 	return t, nil
 }

@@ -9,7 +9,7 @@ import (
 func TestFromPartsRoundTrip(t *testing.T) {
 	data := []byte("abracadabra\x00mississippi\x00banana")
 	orig := New(data)
-	re, err := FromParts(orig.Len(), orig.Alphabet(), orig.Levels())
+	re, err := FromParts(orig.Len(), orig.Alphabet(), symbolCounts(orig, data), orig.Levels())
 	if err != nil {
 		t.Fatalf("FromParts: %v", err)
 	}
@@ -29,22 +29,32 @@ func TestFromPartsRoundTrip(t *testing.T) {
 
 func TestFromPartsValidation(t *testing.T) {
 	orig := New([]byte("abc"))
-	if _, err := FromParts(-1, orig.Alphabet(), orig.Levels()); err == nil {
+	ones := []int32{1, 1, 1}
+	if _, err := FromParts(-1, orig.Alphabet(), ones, orig.Levels()); err == nil {
 		t.Error("negative n accepted")
 	}
-	if _, err := FromParts(3, []byte{'b', 'a', 'c'}, orig.Levels()); err == nil {
+	if _, err := FromParts(3, []byte{'b', 'a', 'c'}, ones, orig.Levels()); err == nil {
 		t.Error("unsorted alphabet accepted")
 	}
-	if _, err := FromParts(3, orig.Alphabet(), nil); err == nil {
+	if _, err := FromParts(3, orig.Alphabet(), ones, nil); err == nil {
 		t.Error("missing levels accepted")
 	}
-	if _, err := FromParts(3, nil, nil); err == nil {
+	if _, err := FromParts(3, nil, nil, nil); err == nil {
 		t.Error("empty alphabet with positions accepted")
+	}
+	if _, err := FromParts(3, orig.Alphabet(), ones[:2], orig.Levels()); err == nil {
+		t.Error("short symbol counts accepted")
+	}
+	if _, err := FromParts(3, orig.Alphabet(), []int32{3, 0, 0}, orig.Levels()); err == nil {
+		t.Error("absent alphabet symbol accepted")
+	}
+	if _, err := FromParts(3, orig.Alphabet(), []int32{2, 1, 1}, orig.Levels()); err == nil {
+		t.Error("symbol counts not summing to n accepted")
 	}
 	short := rank.NewBuilder(2)
 	short.Append(true)
 	short.Append(false)
-	if _, err := FromParts(3, orig.Alphabet(), []*rank.Bits{orig.Levels()[0], short.Build()}); err == nil {
+	if _, err := FromParts(3, orig.Alphabet(), ones, []*rank.Bits{orig.Levels()[0], short.Build()}); err == nil {
 		t.Error("short level accepted")
 	}
 }

@@ -2,8 +2,11 @@ package wavelet
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rank"
 )
 
 func bruteRank(data []byte, c byte, i int) int {
@@ -47,20 +50,6 @@ func TestRankSmall(t *testing.T) {
 	}
 }
 
-func TestSelectSmall(t *testing.T) {
-	data := []byte("abracadabra")
-	tr := New(data)
-	// a occurs at 0, 3, 5, 7, 10.
-	for k, want := range []int{0, 3, 5, 7, 10} {
-		if got := tr.Select('a', k); got != want {
-			t.Errorf("Select(a, %d) = %d, want %d", k, got, want)
-		}
-	}
-	if tr.Select('a', 5) != -1 || tr.Select('z', 0) != -1 {
-		t.Error("out-of-range select must be -1")
-	}
-}
-
 func TestSingleSymbolAlphabet(t *testing.T) {
 	data := []byte("aaaa")
 	tr := New(data)
@@ -69,9 +58,6 @@ func TestSingleSymbolAlphabet(t *testing.T) {
 	}
 	if tr.Rank('a', 3) != 3 || tr.Rank('b', 3) != 0 {
 		t.Error("single-symbol rank broken")
-	}
-	if tr.Select('a', 2) != 2 {
-		t.Error("single-symbol select broken")
 	}
 }
 
@@ -103,8 +89,8 @@ func TestFullByteRange(t *testing.T) {
 	}
 }
 
-// Property: Rank/Access/Select agree with the brute force on random data of
-// random alphabet sizes.
+// Property: Rank/Access agree with the brute force on random data of random
+// alphabet sizes.
 func TestPropertyAgainstBrute(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -125,18 +111,116 @@ func TestPropertyAgainstBrute(t *testing.T) {
 			if tr.Rank(c, j) != bruteRank(data, c, j) {
 				return false
 			}
-			if cnt := tr.Count(c); cnt > 0 {
-				k := rng.Intn(cnt)
-				p := tr.Select(c, k)
-				if p < 0 || data[p] != c || tr.Rank(c, p) != k {
-					return false
-				}
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// symbolCounts tallies data per code of tr's alphabet — what FromParts takes.
+func symbolCounts(tr *Tree, data []byte) []int32 {
+	counts := make([]int32, tr.Sigma())
+	for _, c := range data {
+		counts[tr.code[c]]++
+	}
+	return counts
+}
+
+// The table-driven kernels against a naive scan, at every position, over
+// alphabets that leave empty nodes (non-power-of-two σ), have no levels at
+// all (σ = 1) or fill the byte range, and lengths straddling the word and
+// block boundaries of internal/rank: LF(i) = C[Access(i)] + Rank(Access(i), i),
+// Rank2 = two Ranks, and a tree reassembled by FromParts holds the same
+// tables as the one New built.
+func TestKernelsAgainstNaiveScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, sigma := range []int{1, 2, 3, 22, 24, 33, 256} {
+		for _, n := range []int{0, 1, 63, 64, 65, 511, 512, 513, 4097} {
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(rng.Intn(sigma) * 255 / max(sigma-1, 1))
+			}
+			tr := New(data)
+			re, err := FromParts(n, tr.Alphabet(), symbolCounts(tr, data), tr.Levels())
+			if err != nil {
+				t.Fatalf("σ=%d n=%d: FromParts: %v", sigma, n, err)
+			}
+			if !reflect.DeepEqual(re.step, tr.step) || !reflect.DeepEqual(re.leaf, tr.leaf) {
+				t.Fatalf("σ=%d n=%d: FromParts tables differ from New's", sigma, n)
+			}
+			var smaller [257]int // smaller[c] = positions holding a symbol < c
+			for _, c := range data {
+				smaller[int(c)+1]++
+			}
+			for c := 1; c <= 256; c++ {
+				smaller[c] += smaller[c-1]
+			}
+			var seen [256]int // occurrences before the current position
+			for i, c := range data {
+				if got := tr.Access(i); got != c {
+					t.Fatalf("σ=%d n=%d: Access(%d) = %d, want %d", sigma, n, i, got, c)
+				}
+				if got, want := tr.LF(i), smaller[c]+seen[c]; got != want {
+					t.Fatalf("σ=%d n=%d: LF(%d) = %d, want %d", sigma, n, i, got, want)
+				}
+				for _, q := range []byte{c, byte(rng.Intn(256))} {
+					if got := tr.Rank(q, i); got != seen[q] {
+						t.Fatalf("σ=%d n=%d: Rank(%d, %d) = %d, want %d", sigma, n, q, i, got, seen[q])
+					}
+					j := i + rng.Intn(n-i+1)
+					ri, rj := tr.Rank2(q, i, j)
+					if ri != seen[q] || rj != tr.Rank(q, j) {
+						t.Fatalf("σ=%d n=%d: Rank2(%d, %d, %d) = (%d, %d), want (%d, %d)",
+							sigma, n, q, i, j, ri, rj, seen[q], tr.Rank(q, j))
+					}
+				}
+				seen[c]++
+			}
+			for c := 0; c < 256; c++ {
+				if got := tr.Rank(byte(c), n+3); got != seen[c] {
+					t.Fatalf("σ=%d n=%d: Rank(%d, past end) = %d, want %d", sigma, n, c, got, seen[c])
+				}
+				if got := tr.Rank(byte(c), -2); got != 0 {
+					t.Fatalf("σ=%d n=%d: Rank(%d, before start) = %d, want 0", sigma, n, c, got)
+				}
+			}
+		}
+	}
+}
+
+// Level bits that disagree with the tables (a corrupt, unverified mapping)
+// must mis-answer, never index out of range.
+func TestKernelsClampOverCorruptLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, sigma := range []int{3, 22, 33} {
+		data := make([]byte, 700)
+		for i := range data {
+			data[i] = byte(rng.Intn(sigma))
+		}
+		tr := New(data)
+		levels := make([]*rank.Bits, len(tr.Levels()))
+		for d, lv := range tr.Levels() {
+			words := append([]uint64(nil), lv.Words()...)
+			for w := range words {
+				words[w] = rng.Uint64()
+			}
+			var err error
+			if levels[d], err = rank.FromParts(words, lv.BlockCounts(), lv.Len()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bad, err := FromParts(len(data), tr.Alphabet(), symbolCounts(tr, data), levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range data {
+			bad.Access(i)
+			bad.LF(i)
+			bad.Rank(data[i], i)
+			bad.Rank2(data[i], i, len(data))
+		}
 	}
 }
 

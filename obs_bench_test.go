@@ -17,6 +17,7 @@ package repro_test
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"testing"
 	"time"
@@ -149,13 +150,16 @@ func measureObsOverhead(tb testing.TB) (rawNs, metricsNs, tracedNs int64) {
 }
 
 // TestObsOverhead enforces the ≤2% budget on the always-on instrumentation.
+// It is a wall-clock gate, so it runs only when OBS_OVERHEAD_GATE is set —
+// alone, in CI's "obs overhead gate" step — and never inside a plain
+// `go test ./...`, where packages testing in parallel skew the ratio.
 // One remeasure is allowed before failing: the bar is two percentage
 // points, so a single unlucky scheduling round on a shared CI runner must
 // not fail the build when the steady-state overhead is a fraction of a
 // percent.
 func TestObsOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("overhead measurement skipped in -short")
+	if os.Getenv("OBS_OVERHEAD_GATE") == "" {
+		t.Skip("OBS_OVERHEAD_GATE not set")
 	}
 	var rawNs, metricsNs, tracedNs int64
 	var ratio float64

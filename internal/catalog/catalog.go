@@ -6,14 +6,16 @@
 // string documents, every document indexed whole by its own core.Backend —
 // the plain suffix-array index or the compressed FM-index representation,
 // chosen per collection at creation (Options.Backend, AddWithBackend) — and
-// assigned round-robin to one of a fixed number of shards. Queries fan out
-// across shards concurrently and merge the per-shard results:
+// assigned round-robin to one of a fixed number of shards. A query is a
+// core.Query value and Collection.Exec is its one entry point: validate once,
+// fan out across shards concurrently, merge the per-shard results by
+// operation (Search, TopK and Count are one-line wrappers over it):
 //
-//   - Search: threshold search (Problem 1) over every document, merged in
-//     (document, position) order;
-//   - TopK: the globally most probable occurrences, merged from the
+//   - core.OpSearch: threshold search (Problem 1) over every document,
+//     merged in (document, position) order;
+//   - core.OpTopK: the globally most probable occurrences, merged from the
 //     per-shard candidates through a bounded min-heap;
-//   - Count: the total number of qualifying occurrences.
+//   - core.OpCount: the total number of qualifying occurrences.
 //
 // Because a document is always indexed as one unit, the shard count affects
 // only the fan-out: results are bit-identical for every shard count,
@@ -137,14 +139,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// DocHit is one occurrence of a pattern inside a collection.
+// DocHit is one occurrence of a pattern inside a collection. The JSON tags
+// are the server's wire shape: hits travel from Exec to the response encoder
+// (and into the result cache) without a copy.
 type DocHit struct {
 	// Doc is the document's index within the collection.
-	Doc int
+	Doc int `json:"doc"`
 	// Pos is the starting position within the document.
-	Pos int
+	Pos int `json:"pos"`
 	// Prob is the occurrence probability.
-	Prob float64
+	Prob float64 `json:"prob"`
 }
 
 // docIndex pairs a document id with its index backend.

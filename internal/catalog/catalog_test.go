@@ -108,23 +108,52 @@ func TestOpenDirectory(t *testing.T) {
 
 func TestQueryErrors(t *testing.T) {
 	col := testCatalog(t, testDocs(t, 300, 17), 2)
-	if _, err := col.Search(nil, 0.2); !errors.Is(err, core.ErrEmptyPattern) {
-		t.Fatalf("Search(empty) err = %v, want ErrEmptyPattern", err)
+	// One validation for every operation and every collection shape: the
+	// same malformed query is rejected the same way whether backends would
+	// run or not — a collection without documents, or with all of them
+	// masked, once answered (nil, nil) because only backends validated.
+	empty, err := New(Options{TauMin: 0.1}).Add("empty", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := col.Search([]byte("AC"), 1.5); !errors.Is(err, core.ErrTauOutOfRange) {
-		t.Fatalf("Search(tau=1.5) err = %v, want ErrTauOutOfRange", err)
+	allMasked := ExecOpts{Remap: make([]int, col.Docs())}
+	for i := range allMasked.Remap {
+		allMasked.Remap[i] = -1
 	}
-	if _, err := col.Search([]byte("AC"), 0.01); !errors.Is(err, core.ErrTauBelowTauMin) {
-		t.Fatalf("Search(tau<taumin) err = %v, want ErrTauBelowTauMin", err)
+	for _, tc := range []struct {
+		q    core.Query
+		want error
+	}{
+		{core.Query{Op: core.OpSearch, Tau: 0.2}, core.ErrEmptyPattern},
+		{core.Query{Op: core.OpCount, Pattern: []byte{}, Tau: 0.2}, core.ErrEmptyPattern},
+		{core.Query{Op: core.OpTopK, K: 0}, core.ErrEmptyPattern},
+		{core.Query{Op: core.OpTopK, Pattern: []byte{'A', 0}, K: 3}, core.ErrBadPattern},
+		{core.Query{Op: core.OpSearch, Pattern: []byte{0}, Tau: 0.2}, core.ErrBadPattern},
+		{core.Query{Op: core.OpSearch, Pattern: []byte("AC"), Tau: 1.5}, core.ErrTauOutOfRange},
+		{core.Query{Op: core.OpCount, Pattern: []byte("AC"), Tau: 0.01}, core.ErrTauBelowTauMin},
+	} {
+		for name, run := range map[string]func() (Result, error){
+			"populated":  func() (Result, error) { return col.Exec(tc.q, ExecOpts{}) },
+			"empty":      func() (Result, error) { return empty.Exec(tc.q, ExecOpts{}) },
+			"all masked": func() (Result, error) { return col.Exec(tc.q, allMasked) },
+		} {
+			if res, err := run(); !errors.Is(err, tc.want) || res.Hits != nil || res.Count != 0 {
+				t.Errorf("%s collection: Exec(%+v) = %v, %v; want %v", name, tc.q, res, err, tc.want)
+			}
+		}
 	}
-	if _, err := col.Count([]byte{}, 0.2); !errors.Is(err, core.ErrEmptyPattern) {
-		t.Fatalf("Count(empty) err = %v, want ErrEmptyPattern", err)
+	// The wrappers inherit it.
+	if _, err := col.TopK(nil, 0); !errors.Is(err, core.ErrEmptyPattern) {
+		t.Fatalf("TopK(empty, k=0) err = %v, want ErrEmptyPattern", err)
 	}
-	if err := col.Validate([]byte{0}, 0.2); !errors.Is(err, core.ErrBadPattern) {
-		t.Fatalf("Validate(NUL) err = %v, want ErrBadPattern", err)
+	if _, err := empty.Search(nil, 0.5); !errors.Is(err, core.ErrEmptyPattern) {
+		t.Fatalf("empty collection Search(empty) err = %v, want ErrEmptyPattern", err)
 	}
-	if err := col.Validate([]byte("AC"), 0.2); err != nil {
-		t.Fatalf("Validate(valid) err = %v", err)
+	if _, err := empty.Search([]byte("A"), 0.01); !errors.Is(err, core.ErrTauBelowTauMin) {
+		t.Fatalf("empty collection Search(tau<taumin) err = %v, want ErrTauBelowTauMin", err)
+	}
+	if hits, err := col.Search([]byte("AC"), 0.2); err != nil {
+		t.Fatalf("Search(valid) = %v, %v", hits, err)
 	}
 	if hits, err := col.TopK([]byte("AC"), 0); err != nil || hits != nil {
 		t.Fatalf("TopK(k=0) = %v, %v; want nil, nil", hits, err)

@@ -49,7 +49,8 @@ func TestEstimateCalibration(t *testing.T) {
 			var sumMeasured, sumEstimated float64
 			for _, p := range pats {
 				var cost obs.Cost
-				if _, err := col.SearchObs(nil, &cost, p, 0.2); err != nil {
+				q := core.Query{Op: core.OpSearch, Pattern: p, Tau: 0.2}
+				if _, err := col.Exec(q, ExecOpts{Cost: &cost}); err != nil {
 					t.Fatal(err)
 				}
 				snap := cost.Snapshot()

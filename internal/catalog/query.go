@@ -23,20 +23,130 @@ type shardResult struct {
 	err   error
 }
 
-// fanOut runs fn once per non-empty shard concurrently and returns the
+// ExecOpts are the per-request extras of Exec; the zero value runs the query
+// unobserved over every document.
+type ExecOpts struct {
+	// Trace, when non-nil, receives the per-stage timings: "fanout" (wall
+	// time of the scatter/join), "backend_search" (summed per-shard search
+	// time) and "merge".
+	Trace *obs.Trace
+	// Cost, when non-nil, receives the resource counters: shards touched,
+	// backend work, merge comparisons.
+	Cost *obs.Cost
+	// Remap, when non-nil, renumbers the documents reported in hits: document
+	// d appears as Remap[d], and a document with Remap[d] < 0 is masked — never
+	// searched, never counted. The mutable serving layer (internal/ingest)
+	// uses it to hide tombstoned documents and number the survivors into a
+	// merged base+delta view. Masking happens per document, before any merge,
+	// so the results are exactly those of a collection that never contained
+	// the masked documents — top-k included.
+	Remap []int
+}
+
+// Result is the answer of one Exec: the hits of a search or top-k query in
+// their canonical order, and the number of occurrences (len(Hits) for search
+// and top-k, the count alone for OpCount).
+type Result struct {
+	Hits  []DocHit
+	Count int
+}
+
+// Exec is the single query path of a collection. It validates q once against
+// the collection's construction threshold — core.ErrEmptyPattern,
+// core.ErrBadPattern, core.ErrTauOutOfRange or core.ErrTauBelowTauMin,
+// whatever the operation and however many documents the collection holds —
+// then runs q against every unmasked document, one goroutine per shard, and
+// merges per operation: search hits ordered by (document, position), the k
+// globally most probable hits in decreasing probability order (ties by
+// document, then position), or the summed count. Every per-document index
+// guarantees completeness only down to probability TauMin, so a top-k query
+// may return fewer than k hits; k ≤ 0 selects nothing.
+func (col *Collection) Exec(q core.Query, o ExecOpts) (Result, error) {
+	if err := q.Validate(col.tauMin); err != nil {
+		return Result{}, err
+	}
+	if q.Op == core.OpTopK && q.K <= 0 {
+		return Result{}, nil
+	}
+	results, err := col.fanOut(q, o)
+	if err != nil {
+		return Result{}, err
+	}
+	if q.Op == core.OpCount {
+		total := 0
+		for _, r := range results {
+			total += r.count
+		}
+		return Result{Count: total}, nil
+	}
+	stop := o.Trace.StartStage("merge")
+	var merged []DocHit
+	if q.Op == core.OpTopK {
+		lists := make([][]DocHit, len(results))
+		for i, r := range results {
+			lists[i] = r.hits
+		}
+		merged = MergeTopK(o.Cost, q.K, lists...)
+	} else {
+		for _, r := range results {
+			merged = append(merged, r.hits...)
+		}
+		SortHits(o.Cost, merged)
+	}
+	stop()
+	return Result{Hits: merged, Count: len(merged)}, nil
+}
+
+// Search reports every occurrence of p with probability strictly greater
+// than tau in any document, ordered by (document, position). tau must
+// satisfy TauMin ≤ tau ≤ 1.
+func (col *Collection) Search(p []byte, tau float64) ([]DocHit, error) {
+	r, err := col.Exec(core.Query{Op: core.OpSearch, Pattern: p, Tau: tau}, ExecOpts{})
+	return r.Hits, err
+}
+
+// TopK reports the k globally most probable occurrences of p across all
+// documents, in decreasing probability order (ties by document, then
+// position); fewer than k when fewer reach probability TauMin.
+func (col *Collection) TopK(p []byte, k int) ([]DocHit, error) {
+	r, err := col.Exec(core.Query{Op: core.OpTopK, Pattern: p, K: k}, ExecOpts{})
+	return r.Hits, err
+}
+
+// Count returns the total number of occurrences of p with probability
+// strictly greater than tau, without materialising positions.
+func (col *Collection) Count(p []byte, tau float64) (int, error) {
+	r, err := col.Exec(core.Query{Op: core.OpCount, Pattern: p, Tau: tau}, ExecOpts{})
+	return r.Count, err
+}
+
+// fanOut runs q on every non-empty shard concurrently and returns the
 // per-shard results in shard order. Collections are immutable, so the only
 // synchronisation is the join. With a non-nil trace it records two stages:
 // "fanout" (wall time of the whole scatter/join) and "backend_search" (the
 // sum of per-shard search time, i.e. the work the fan-out parallelised).
 // With a non-nil cost it counts the shards that ran and sums the per-shard
 // backend stats at the join.
-func (col *Collection) fanOut(tr *obs.Trace, c *obs.Cost, fn func(shard []docIndex, out *shardResult)) ([]shardResult, error) {
+func (col *Collection) fanOut(q core.Query, o ExecOpts) ([]shardResult, error) {
+	tr, c := o.Trace, o.Cost
 	results := make([]shardResult, len(col.shards))
 	begin := time.Time{}
 	if tr != nil {
 		begin = time.Now()
 	}
 	var wg sync.WaitGroup
+	// One closure for the whole query, so that each go statement carries a
+	// shard number rather than its own copy of q and o.
+	search := func(s int) {
+		defer wg.Done()
+		if tr != nil {
+			t0 := time.Now()
+			runShard(q, o.Remap, c != nil, col.shards[s], &results[s])
+			results[s].dur = time.Since(t0)
+			return
+		}
+		runShard(q, o.Remap, c != nil, col.shards[s], &results[s])
+	}
 	touched := int64(0)
 	for s := range col.shards {
 		if len(col.shards[s]) == 0 {
@@ -44,16 +154,7 @@ func (col *Collection) fanOut(tr *obs.Trace, c *obs.Cost, fn func(shard []docInd
 		}
 		touched++
 		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			if tr != nil {
-				t0 := time.Now()
-				fn(col.shards[s], &results[s])
-				results[s].dur = time.Since(t0)
-				return
-			}
-			fn(col.shards[s], &results[s])
-		}(s)
+		go search(s)
 	}
 	wg.Wait()
 	if tr != nil {
@@ -81,177 +182,50 @@ func (col *Collection) fanOut(tr *obs.Trace, c *obs.Cost, fn func(shard []docInd
 	return results, nil
 }
 
-// DocFilter remaps a collection-local document index to the document number
-// reported in hits, or drops the document entirely. Mutable serving layers
-// (internal/ingest) use filters to mask tombstoned documents and renumber
-// the survivors into a merged base+delta view; because the filter is applied
-// per document before any merging, the filtered results are exactly those of
-// a collection that never contained the dropped documents.
-type DocFilter func(doc int) (mapped int, ok bool)
-
-// apply resolves a document index through the filter; a nil filter keeps
-// every document under its own number.
-func (f DocFilter) apply(doc int) (int, bool) {
-	if f == nil {
-		return doc, true
+// runShard executes q against each unmasked document of one shard,
+// accumulating hits (numbered through remap), the count and — when costed —
+// the backend stats into out. It stops at the first backend error.
+func runShard(q core.Query, remap []int, costed bool, shard []docIndex, out *shardResult) {
+	var st *core.QueryStats
+	if costed {
+		st = &out.stats
 	}
-	return f(doc)
-}
-
-// Search reports every occurrence of p with probability strictly greater
-// than tau in any document, ordered by (document, position). tau must
-// satisfy TauMin ≤ tau ≤ 1.
-func (col *Collection) Search(p []byte, tau float64) ([]DocHit, error) {
-	return col.SearchFilteredObs(nil, nil, p, tau, nil)
-}
-
-// SearchTraced is Search recording per-stage timings into tr (nil tr means
-// no recording; the untraced methods delegate here).
-func (col *Collection) SearchTraced(tr *obs.Trace, p []byte, tau float64) ([]DocHit, error) {
-	return col.SearchFilteredObs(tr, nil, p, tau, nil)
-}
-
-// SearchObs is Search recording per-stage timings into tr and resource
-// counters into c (either may be nil).
-func (col *Collection) SearchObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) ([]DocHit, error) {
-	return col.SearchFilteredObs(tr, c, p, tau, nil)
-}
-
-// SearchFiltered is Search restricted to the documents kept by keep, with
-// hits renumbered through it.
-func (col *Collection) SearchFiltered(p []byte, tau float64, keep DocFilter) ([]DocHit, error) {
-	return col.SearchFilteredObs(nil, nil, p, tau, keep)
-}
-
-// SearchFilteredTraced is SearchFiltered recording per-stage timings
-// ("fanout", "backend_search", "merge") into tr.
-func (col *Collection) SearchFilteredTraced(tr *obs.Trace, p []byte, tau float64, keep DocFilter) ([]DocHit, error) {
-	return col.SearchFilteredObs(tr, nil, p, tau, keep)
-}
-
-// SearchFilteredObs is SearchFiltered recording per-stage timings
-// ("fanout", "backend_search", "merge") into tr and resource counters
-// (shards touched, backend work, merge comparisons) into c.
-func (col *Collection) SearchFilteredObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64, keep DocFilter) ([]DocHit, error) {
-	costed := c != nil
-	results, err := col.fanOut(tr, c, func(shard []docIndex, out *shardResult) {
-		var st *core.QueryStats
-		if costed {
-			st = &out.stats
-		}
-		for _, di := range shard {
-			doc, ok := keep.apply(di.doc)
-			if !ok {
+	for _, di := range shard {
+		doc := di.doc
+		if remap != nil {
+			if doc = remap[doc]; doc < 0 {
 				continue
 			}
-			hits, err := di.ix.SearchHitsCosted(p, tau, st)
-			if err != nil {
-				out.err = err
-				return
-			}
-			for _, h := range hits {
-				out.hits = append(out.hits, DocHit{Doc: doc, Pos: int(h.Orig), Prob: h.Prob()})
-			}
 		}
-	})
-	if err != nil {
-		return nil, err
+		hits, n, err := q.Run(di.ix, st)
+		if err != nil {
+			out.err = err
+			return
+		}
+		out.count += n
+		for _, h := range hits {
+			out.hits = append(out.hits, DocHit{Doc: doc, Pos: int(h.Orig), Prob: h.Prob()})
+		}
 	}
-	stop := tr.StartStage("merge")
-	var merged []DocHit
-	for _, r := range results {
-		merged = append(merged, r.hits...)
-	}
-	SortHitsObs(c, merged)
-	stop()
-	return merged, nil
 }
 
-// SortHits orders hits by (document, position) — the canonical Search result
-// order.
-func SortHits(hits []DocHit) {
-	sort.Slice(hits, func(a, b int) bool {
+// SortHits orders hits by (document, position) — the canonical search result
+// order — counting the comparisons into c; a nil c takes the raw path with no
+// per-comparison counting.
+func SortHits(c *obs.Cost, hits []DocHit) {
+	less := func(a, b int) bool {
 		if hits[a].Doc != hits[b].Doc {
 			return hits[a].Doc < hits[b].Doc
 		}
 		return hits[a].Pos < hits[b].Pos
-	})
-}
-
-// SortHitsObs is SortHits counting sort comparisons into c; with a nil c it
-// is exactly SortHits (no per-comparison counting on the raw path).
-func SortHitsObs(c *obs.Cost, hits []DocHit) {
+	}
 	if c == nil {
-		SortHits(hits)
+		sort.Slice(hits, less)
 		return
 	}
 	var comps int64
-	sort.Slice(hits, func(a, b int) bool {
-		comps++
-		if hits[a].Doc != hits[b].Doc {
-			return hits[a].Doc < hits[b].Doc
-		}
-		return hits[a].Pos < hits[b].Pos
-	})
+	sort.Slice(hits, func(a, b int) bool { comps++; return less(a, b) })
 	c.AddMergeComparisons(comps)
-}
-
-// Count returns the total number of occurrences of p with probability
-// strictly greater than tau, without materialising positions.
-func (col *Collection) Count(p []byte, tau float64) (int, error) {
-	return col.CountFilteredObs(nil, nil, p, tau, nil)
-}
-
-// CountTraced is Count recording per-stage timings into tr.
-func (col *Collection) CountTraced(tr *obs.Trace, p []byte, tau float64) (int, error) {
-	return col.CountFilteredObs(tr, nil, p, tau, nil)
-}
-
-// CountObs is Count recording per-stage timings into tr and resource
-// counters into c.
-func (col *Collection) CountObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) (int, error) {
-	return col.CountFilteredObs(tr, c, p, tau, nil)
-}
-
-// CountFiltered is Count restricted to the documents kept by keep.
-func (col *Collection) CountFiltered(p []byte, tau float64, keep DocFilter) (int, error) {
-	return col.CountFilteredObs(nil, nil, p, tau, keep)
-}
-
-// CountFilteredTraced is CountFiltered recording per-stage timings into tr.
-func (col *Collection) CountFilteredTraced(tr *obs.Trace, p []byte, tau float64, keep DocFilter) (int, error) {
-	return col.CountFilteredObs(tr, nil, p, tau, keep)
-}
-
-// CountFilteredObs is CountFiltered recording per-stage timings into tr and
-// resource counters into c.
-func (col *Collection) CountFilteredObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64, keep DocFilter) (int, error) {
-	costed := c != nil
-	results, err := col.fanOut(tr, c, func(shard []docIndex, out *shardResult) {
-		var st *core.QueryStats
-		if costed {
-			st = &out.stats
-		}
-		for _, di := range shard {
-			if _, ok := keep.apply(di.doc); !ok {
-				continue
-			}
-			n, err := di.ix.SearchCountCosted(p, tau, st)
-			if err != nil {
-				out.err = err
-				return
-			}
-			out.count += n
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, r := range results {
-		total += r.count
-	}
-	return total, nil
 }
 
 // hitLess is the canonical global ordering of top-k results: decreasing
@@ -270,7 +244,7 @@ func hitLess(a, b DocHit) bool {
 
 // topKHeap is a bounded min-heap keeping the k best hits seen so far; the
 // root is the currently weakest kept hit. comps counts hitLess evaluations
-// for cost attribution (read by MergeTopKObs after the fold).
+// for cost attribution (read by MergeTopK after the fold).
 type topKHeap struct {
 	hits  []DocHit
 	comps int64
@@ -288,90 +262,13 @@ func (h *topKHeap) Pop() any {
 	return x
 }
 
-// TopK reports the k globally most probable occurrences of p across all
-// documents, in decreasing probability order (ties by document, then
-// position). Every per-document index guarantees completeness only down to
-// probability TauMin, so fewer than k hits may be returned.
-func (col *Collection) TopK(p []byte, k int) ([]DocHit, error) {
-	return col.TopKFilteredObs(nil, nil, p, k, nil)
-}
-
-// TopKTraced is TopK recording per-stage timings into tr.
-func (col *Collection) TopKTraced(tr *obs.Trace, p []byte, k int) ([]DocHit, error) {
-	return col.TopKFilteredObs(tr, nil, p, k, nil)
-}
-
-// TopKObs is TopK recording per-stage timings into tr and resource counters
-// into c.
-func (col *Collection) TopKObs(tr *obs.Trace, c *obs.Cost, p []byte, k int) ([]DocHit, error) {
-	return col.TopKFilteredObs(tr, c, p, k, nil)
-}
-
-// TopKFiltered is TopK restricted to the documents kept by keep, with hits
-// renumbered through it. Filtering happens before the merge: every kept
-// document contributes its own true top-k, so the merged result is the exact
-// global top-k of the kept documents.
-func (col *Collection) TopKFiltered(p []byte, k int, keep DocFilter) ([]DocHit, error) {
-	return col.TopKFilteredObs(nil, nil, p, k, keep)
-}
-
-// TopKFilteredTraced is TopKFiltered recording per-stage timings into tr.
-func (col *Collection) TopKFilteredTraced(tr *obs.Trace, p []byte, k int, keep DocFilter) ([]DocHit, error) {
-	return col.TopKFilteredObs(tr, nil, p, k, keep)
-}
-
-// TopKFilteredObs is TopKFiltered recording per-stage timings into tr and
-// resource counters into c.
-func (col *Collection) TopKFilteredObs(tr *obs.Trace, c *obs.Cost, p []byte, k int, keep DocFilter) ([]DocHit, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	costed := c != nil
-	results, err := col.fanOut(tr, c, func(shard []docIndex, out *shardResult) {
-		var st *core.QueryStats
-		if costed {
-			st = &out.stats
-		}
-		for _, di := range shard {
-			doc, ok := keep.apply(di.doc)
-			if !ok {
-				continue
-			}
-			hits, err := di.ix.SearchTopKCosted(p, k, st)
-			if err != nil {
-				out.err = err
-				return
-			}
-			for _, h := range hits {
-				out.hits = append(out.hits, DocHit{Doc: doc, Pos: int(h.Orig), Prob: h.Prob()})
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	stop := tr.StartStage("merge")
-	lists := make([][]DocHit, len(results))
-	for i, r := range results {
-		lists[i] = r.hits
-	}
-	merged := MergeTopKObs(c, k, lists...)
-	stop()
-	return merged, nil
-}
-
 // MergeTopK folds candidate hit lists into the k globally best hits in
 // decreasing probability order (ties by document, then position), through a
-// bounded min-heap. Each list must already contain the true per-document
-// top-k of every document it covers — then the merge is exact. The mutable
-// serving layer reuses it to combine base and delta candidates.
-func MergeTopK(k int, lists ...[]DocHit) []DocHit {
-	return MergeTopKObs(nil, k, lists...)
-}
-
-// MergeTopKObs is MergeTopK counting heap comparisons into c (nil records
-// nothing).
-func MergeTopKObs(c *obs.Cost, k int, lists ...[]DocHit) []DocHit {
+// bounded min-heap, counting heap comparisons into c (nil records nothing).
+// Each list must already contain the true per-document top-k of every
+// document it covers — then the merge is exact. The mutable serving layer
+// reuses it to combine base and delta candidates.
+func MergeTopK(c *obs.Cost, k int, lists ...[]DocHit) []DocHit {
 	if k <= 0 {
 		return nil
 	}
@@ -395,13 +292,4 @@ func MergeTopKObs(c *obs.Cost, k int, lists ...[]DocHit) []DocHit {
 	}
 	c.AddMergeComparisons(h.comps)
 	return out
-}
-
-// Validate pre-checks a (pattern, tau) query against the collection's
-// construction threshold without touching any shard, returning the same
-// sentinel errors a query would: core.ErrEmptyPattern, core.ErrBadPattern,
-// core.ErrTauOutOfRange or core.ErrTauBelowTauMin. Servers use it to reject
-// malformed requests before paying for the fan-out.
-func (col *Collection) Validate(p []byte, tau float64) error {
-	return core.ValidateQuery(p, tau, col.tauMin)
 }

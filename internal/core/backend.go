@@ -236,6 +236,12 @@ func SpecOf(b Backend) BackendSpec {
 // Approximate backends answer under their declared ε instead: the reported
 // set contains every occurrence above τ, contains nothing at or below τ−ε,
 // and reported probabilities are within ε below the truth.
+//
+// The serving layers reach a backend only through Query.Run. The per-op
+// methods are nevertheless kept, deliberately, rather than collapsed into one
+// Exec: benchmark/ladder.go measures SearchHits, SearchTopK, SearchCount and
+// SearchHitsCosted by name on Backend values, and the benchmark must build
+// unchanged against every commit it compares.
 type Backend interface {
 	// Search reports every starting position where p occurs with
 	// probability strictly greater than tau (under the backend's declared

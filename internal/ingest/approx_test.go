@@ -127,6 +127,9 @@ func TestIngestApproxCollection(t *testing.T) {
 					if err != nil || n != len(got) {
 						t.Fatalf("%s: Count(%q, %v) = %d, %v; Search found %d", stage, p, tau, n, err, len(got))
 					}
+					assertExec(t, v, truth, core.Query{Op: core.OpSearch, Pattern: p, Tau: tau},
+						catalog.Result{Hits: got, Count: len(got)})
+					assertExec(t, v, truth, core.Query{Op: core.OpCount, Pattern: p, Tau: tau}, catalog.Result{Count: n})
 					hits += len(got)
 				}
 			}

@@ -9,8 +9,10 @@
 // per-collection write-ahead log and fsynced before they are acknowledged —
 // then indexed (each document whole, by its own core.Backend in the
 // collection's configured representation — plain or compressed) and
-// published by swapping in a fresh generation-stamped View. Queries run
-// entirely against the View they started with, so they observe a consistent
+// published by swapping in a fresh generation-stamped View. Queries enter
+// through View.Exec — a core.Query run against the base and the delta, each
+// masked and renumbered by its own table, merged once — and run entirely
+// against the View they started with, so they observe a consistent
 // collection state and never block on writers or compaction.
 //
 // A collection's index backend spec — the kind and, for the approximate

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,8 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/ustring"
 )
 
@@ -60,9 +64,49 @@ func staticEquivalent(t *testing.T, byID map[string]*ustring.String) (*catalog.C
 	return col, docs
 }
 
+// assertExec is one Exec row of the equivalence grid: the view's Exec must
+// answer q exactly as its wrapper did (want) with the trace and the cost each
+// nil and set, and count the same cost on every run. When the view is one
+// unmasked base on the static collection's backend — the static collection's
+// own shape — the five counters must also be the static collection's, plus
+// the view's second merge pass over its single part's already merged answer,
+// the only work a static collection does not do.
+func assertExec(t *testing.T, v *View, static *catalog.Collection, q core.Query, want catalog.Result) {
+	t.Helper()
+	var costs [2]obs.Cost
+	for _, o := range []catalog.ExecOpts{{}, {Trace: &obs.Trace{}}, {Cost: &costs[0]}, {Trace: &obs.Trace{}, Cost: &costs[1]}} {
+		got, err := v.Exec(q, o)
+		if err != nil || got.Count != want.Count || !reflect.DeepEqual(got.Hits, want.Hits) && len(got.Hits)+len(want.Hits) > 0 {
+			t.Fatalf("Exec(%+v) = %v, %v; the wrapper answered %v", q, got, err, want)
+		}
+	}
+	if costs[0] != costs[1] || costs[0].ShardsTouched == 0 {
+		t.Fatalf("Exec(%+v) cost differs between runs: %+v, then %+v", q, costs[0], costs[1])
+	}
+	if v.DeltaDocs() > 0 || v.Tombstones() > 0 || v.Spec() != static.Spec() {
+		return
+	}
+	var sc obs.Cost
+	res, err := static.Exec(q, catalog.ExecOpts{Cost: &sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch q.Op {
+	case core.OpSearch:
+		catalog.SortHits(&sc, res.Hits)
+	case core.OpTopK:
+		catalog.MergeTopK(&sc, q.K, res.Hits)
+	}
+	if costs[0] != sc {
+		t.Fatalf("Exec(%+v) cost on a compacted view %+v, on the static collection %+v", q, costs[0], sc)
+	}
+}
+
 // assertEquivalent checks the acceptance property: the view answers
 // Search/TopK/Count bit-identically — positions and probabilities — to a
-// statically built catalog over the same final document set.
+// statically built catalog over the same final document set, and both find
+// exactly the occurrences of the index-free oracle. Every query also runs as
+// an Exec row (assertExec).
 func assertEquivalent(t *testing.T, v *View, byID map[string]*ustring.String) {
 	t.Helper()
 	static, docs := staticEquivalent(t, byID)
@@ -87,6 +131,19 @@ func assertEquivalent(t *testing.T, v *View, byID map[string]*ustring.String) {
 				if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
 					t.Fatalf("Search(%q, %v): dynamic %v, static %v", p, tau, got, want)
 				}
+				assertExec(t, v, static, core.Query{Op: core.OpSearch, Pattern: p, Tau: tau},
+					catalog.Result{Hits: got, Count: len(got)})
+				var oracle [][2]int
+				for d, doc := range docs {
+					for _, pos := range baseline.MatchDP(doc, p, tau) {
+						oracle = append(oracle, [2]int{d, pos})
+					}
+				}
+				for i, h := range got {
+					if len(got) != len(oracle) || oracle[i] != [2]int{h.Doc, h.Pos} {
+						t.Fatalf("Search(%q, %v) = %v, oracle %v", p, tau, got, oracle)
+					}
+				}
 				wantN, err := static.Count(p, tau)
 				if err != nil {
 					t.Fatal(err)
@@ -95,9 +152,10 @@ func assertEquivalent(t *testing.T, v *View, byID map[string]*ustring.String) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if gotN != wantN {
-					t.Fatalf("Count(%q, %v) = %d, want %d", p, tau, gotN, wantN)
+				if gotN != wantN || gotN != len(oracle) {
+					t.Fatalf("Count(%q, %v) = %d, static %d, oracle %d", p, tau, gotN, wantN, len(oracle))
 				}
+				assertExec(t, v, static, core.Query{Op: core.OpCount, Pattern: p, Tau: tau}, catalog.Result{Count: gotN})
 				if len(want) > 0 {
 					checked++
 				}
@@ -114,6 +172,8 @@ func assertEquivalent(t *testing.T, v *View, byID map[string]*ustring.String) {
 				if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
 					t.Fatalf("TopK(%q, %d): dynamic %v, static %v", p, k, got, want)
 				}
+				assertExec(t, v, static, core.Query{Op: core.OpTopK, Pattern: p, K: k},
+					catalog.Result{Hits: got, Count: len(got)})
 			}
 		}
 	}
@@ -218,6 +278,9 @@ func TestDynamicStaticEquivalence(t *testing.T) {
 	}
 	defer st3.Close()
 	v3, _ := st3.Get("c")
+	if v3.DeltaDocs() != 0 || v3.Tombstones() != 0 {
+		t.Fatalf("the compacted view is not one unmasked base: delta=%d tombstones=%d", v3.DeltaDocs(), v3.Tombstones())
+	}
 	assertEquivalent(t, v3, byID)
 }
 
@@ -479,6 +542,34 @@ func TestMutationErrors(t *testing.T) {
 	res, err := st.Put("c", "x", docs[1])
 	if err != nil || !res.Replaced {
 		t.Fatalf("replacing put: %+v err=%v", res, err)
+	}
+	// Queries are validated once, up front, whatever the view holds: with
+	// its only document compacted into the base and then masked no backend
+	// runs, which once let a malformed query through as (nil, nil).
+	if _, err := st.Compact("c"); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := st.Delete("c", "x"); err != nil || !ok {
+		t.Fatalf("delete: ok=%v err=%v", ok, err)
+	}
+	v, _ := st.Get("c")
+	if v.Docs() != 0 || v.Tombstones() != 1 {
+		t.Fatalf("expected one masked base document, got docs=%d tombstones=%d", v.Docs(), v.Tombstones())
+	}
+	if _, err := v.Search(nil, 0.5); !errors.Is(err, core.ErrEmptyPattern) {
+		t.Fatalf("masked view Search(empty) err = %v, want ErrEmptyPattern", err)
+	}
+	if _, err := v.Search([]byte("A"), 0.01); !errors.Is(err, core.ErrTauBelowTauMin) {
+		t.Fatalf("masked view Search(tau<taumin) err = %v, want ErrTauBelowTauMin", err)
+	}
+	if _, err := v.TopK(nil, 0); !errors.Is(err, core.ErrEmptyPattern) {
+		t.Fatalf("masked view TopK(empty, k=0) err = %v, want ErrEmptyPattern", err)
+	}
+	if hits, err := v.TopK([]byte("A"), 0); err != nil || hits != nil {
+		t.Fatalf("masked view TopK(k=0) = %v, %v; want nil, nil", hits, err)
+	}
+	if n, err := v.Count([]byte("A"), 0.5); err != nil || n != 0 {
+		t.Fatalf("masked view Count = %d, %v; want 0", n, err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // View is one immutable, generation-stamped snapshot of a live collection.
@@ -17,8 +16,9 @@ import (
 // A View merges two parts behind one document numbering:
 //
 //   - base: the sharded collection assembled at the last compaction (or at
-//     startup). Documents deleted or replaced since are masked out by a
-//     DocFilter — never returned, never counted.
+//     startup). Documents deleted or replaced since are masked out by the
+//     renumbering table (catalog.ExecOpts.Remap) — never returned, never
+//     counted.
 //   - delta: the documents put since the last compaction, each indexed
 //     whole at Put time.
 //
@@ -42,14 +42,6 @@ type View struct {
 	baseMap  []int // base document → global number, -1 when masked
 	delta    *catalog.Collection
 	deltaMap []int // delta document → global number
-}
-
-// mapFilter turns a renumbering table into a DocFilter masking -1 entries.
-func mapFilter(m []int) catalog.DocFilter {
-	return func(doc int) (int, bool) {
-		g := m[doc]
-		return g, g >= 0
-	}
 }
 
 // ID returns the snapshot's process-unique instance id. Every published
@@ -148,116 +140,70 @@ func (v *View) DocNumber(id string) (int, bool) {
 	return 0, false
 }
 
-// Validate pre-checks a (pattern, tau) query exactly as a static collection
-// would.
-func (v *View) Validate(p []byte, tau float64) error {
-	return core.ValidateQuery(p, tau, v.tauMin)
+// Exec is the single query path of a snapshot, with the signature and the
+// semantics of catalog.Collection.Exec: it validates q once — so a view with
+// no live documents rejects a malformed query exactly as a static collection
+// would — runs it against the base and delta parts, each numbering its hits
+// through its own renumbering table (o.Remap belongs to the view and is
+// overwritten), and merges the two answers once. Both parts accumulate into
+// the same o.Trace stages and the same o.Cost, so "fanout" covers the whole
+// snapshot's scatter work. Masking happens inside each part, before any
+// merge, so every live document contributes its true top-k and the merged
+// top-k is the exact global top-k of the live document set.
+func (v *View) Exec(q core.Query, o catalog.ExecOpts) (catalog.Result, error) {
+	if err := q.Validate(v.tauMin); err != nil {
+		return catalog.Result{}, err
+	}
+	var res catalog.Result
+	var lists [2][]catalog.DocHit
+	parts := [2]struct {
+		col   *catalog.Collection
+		remap []int
+	}{{v.base, v.baseMap}, {v.delta, v.deltaMap}}
+	for i, part := range parts {
+		if part.col == nil {
+			continue
+		}
+		o.Remap = part.remap
+		r, err := part.col.Exec(q, o)
+		if err != nil {
+			return catalog.Result{}, err
+		}
+		res.Count += r.Count
+		lists[i] = r.Hits
+	}
+	if q.Op == core.OpCount {
+		return res, nil
+	}
+	stop := o.Trace.StartStage("merge")
+	if q.Op == core.OpTopK {
+		res.Hits = catalog.MergeTopK(o.Cost, q.K, lists[:]...)
+	} else {
+		res.Hits = append(lists[0], lists[1]...)
+		catalog.SortHits(o.Cost, res.Hits)
+	}
+	stop()
+	res.Count = len(res.Hits)
+	return res, nil
 }
 
 // Search reports every occurrence of p with probability strictly greater
 // than tau in any live document, ordered by (document, position).
 func (v *View) Search(p []byte, tau float64) ([]catalog.DocHit, error) {
-	return v.SearchTraced(nil, p, tau)
+	r, err := v.Exec(core.Query{Op: core.OpSearch, Pattern: p, Tau: tau}, catalog.ExecOpts{})
+	return r.Hits, err
 }
 
-// SearchTraced is Search recording per-stage timings into tr. Both parts
-// (base and delta) accumulate into the same stages, so "fanout" covers the
-// whole snapshot's scatter work.
-func (v *View) SearchTraced(tr *obs.Trace, p []byte, tau float64) ([]catalog.DocHit, error) {
-	return v.SearchObs(tr, nil, p, tau)
-}
-
-// SearchObs is SearchTraced also accumulating resource counters into c;
-// both parts count into the same request-level cost.
-func (v *View) SearchObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) ([]catalog.DocHit, error) {
-	var merged []catalog.DocHit
-	if v.base != nil {
-		hits, err := v.base.SearchFilteredObs(tr, c, p, tau, mapFilter(v.baseMap))
-		if err != nil {
-			return nil, err
-		}
-		merged = hits
-	}
-	if v.delta != nil {
-		hits, err := v.delta.SearchFilteredObs(tr, c, p, tau, mapFilter(v.deltaMap))
-		if err != nil {
-			return nil, err
-		}
-		merged = append(merged, hits...)
-	}
-	stop := tr.StartStage("merge")
-	catalog.SortHitsObs(c, merged)
-	stop()
-	return merged, nil
+// TopK reports the k most probable occurrences of p across live documents,
+// in decreasing probability order (ties by document, then position).
+func (v *View) TopK(p []byte, k int) ([]catalog.DocHit, error) {
+	r, err := v.Exec(core.Query{Op: core.OpTopK, Pattern: p, K: k}, catalog.ExecOpts{})
+	return r.Hits, err
 }
 
 // Count returns the number of occurrences of p with probability strictly
 // greater than tau across live documents.
 func (v *View) Count(p []byte, tau float64) (int, error) {
-	return v.CountTraced(nil, p, tau)
-}
-
-// CountTraced is Count recording per-stage timings into tr.
-func (v *View) CountTraced(tr *obs.Trace, p []byte, tau float64) (int, error) {
-	return v.CountObs(tr, nil, p, tau)
-}
-
-// CountObs is CountTraced also accumulating resource counters into c.
-func (v *View) CountObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) (int, error) {
-	total := 0
-	if v.base != nil {
-		n, err := v.base.CountFilteredObs(tr, c, p, tau, mapFilter(v.baseMap))
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	if v.delta != nil {
-		n, err := v.delta.CountFilteredObs(tr, c, p, tau, mapFilter(v.deltaMap))
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// TopK reports the k most probable occurrences of p across live documents,
-// in decreasing probability order (ties by document, then position). Both
-// parts contribute their true per-document top-k — masking happens before
-// the merge — so the merged result is the exact global top-k of the live
-// document set.
-func (v *View) TopK(p []byte, k int) ([]catalog.DocHit, error) {
-	return v.TopKTraced(nil, p, k)
-}
-
-// TopKTraced is TopK recording per-stage timings into tr.
-func (v *View) TopKTraced(tr *obs.Trace, p []byte, k int) ([]catalog.DocHit, error) {
-	return v.TopKObs(tr, nil, p, k)
-}
-
-// TopKObs is TopKTraced also accumulating resource counters into c.
-func (v *View) TopKObs(tr *obs.Trace, c *obs.Cost, p []byte, k int) ([]catalog.DocHit, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	var lists [][]catalog.DocHit
-	if v.base != nil {
-		hits, err := v.base.TopKFilteredObs(tr, c, p, k, mapFilter(v.baseMap))
-		if err != nil {
-			return nil, err
-		}
-		lists = append(lists, hits)
-	}
-	if v.delta != nil {
-		hits, err := v.delta.TopKFilteredObs(tr, c, p, k, mapFilter(v.deltaMap))
-		if err != nil {
-			return nil, err
-		}
-		lists = append(lists, hits)
-	}
-	stop := tr.StartStage("merge")
-	merged := catalog.MergeTopKObs(c, k, lists...)
-	stop()
-	return merged, nil
+	r, err := v.Exec(core.Query{Op: core.OpCount, Pattern: p, Tau: tau}, catalog.ExecOpts{})
+	return r.Count, err
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/ingest"
-	"repro/internal/obs"
 	"repro/internal/ustring"
 )
 
@@ -158,6 +157,17 @@ func TestHTTPApproxStore(t *testing.T) {
 	if br.Results[3].Error == "" || br.Results[3].Code != "bad_request" {
 		t.Fatalf("batch bogus op: error=%q code=%q, want bad_request", br.Results[3].Error, br.Results[3].Code)
 	}
+	// A batched op is parsed by the code that parses the single endpoints:
+	// an out-of-range k is rejected with the same message and the typed code.
+	for _, k := range []string{"0", "10001"} {
+		var single errorResponse
+		get(t, s, "/v1/topk?collection=ex&p=AC&k="+k, http.StatusBadRequest, &single)
+		do(t, s, http.MethodPost, "/v1/batch",
+			`{"collection":"ex","queries":[{"op":"topk","p":"AC","k":`+k+`}]}`, http.StatusOK, &br)
+		if r := br.Results[0]; r.Code != "bad_request" || r.Error != single.Error || single.Error == "" {
+			t.Fatalf("batch topk k=%s: error=%q code=%q; /v1/topk answers %q", k, r.Error, r.Code, single.Error)
+		}
+	}
 
 	// Stats: per-collection ε and the approx counters.
 	var stats struct {
@@ -190,23 +200,13 @@ type specColl struct {
 	spec core.BackendSpec
 }
 
-func (c specColl) ID() uint64                                             { return c.id }
-func (c specColl) Name() string                                           { return "c" }
-func (c specColl) TauMin() float64                                        { return 0.1 }
-func (c specColl) Spec() core.BackendSpec                                 { return c.spec }
-func (c specColl) Validate(p []byte, tau float64) error                   { return nil }
-func (c specColl) Estimate(patternLen int) core.QueryEstimate             { return core.QueryEstimate{} }
-func (c specColl) Search(p []byte, tau float64) ([]catalog.DocHit, error) { return nil, nil }
-func (c specColl) TopK(p []byte, k int) ([]catalog.DocHit, error)         { return nil, nil }
-func (c specColl) Count(p []byte, tau float64) (int, error)               { return 0, nil }
-func (c specColl) SearchObs(_ *obs.Trace, _ *obs.Cost, p []byte, tau float64) ([]catalog.DocHit, error) {
-	return nil, nil
-}
-func (c specColl) TopKObs(_ *obs.Trace, _ *obs.Cost, p []byte, k int) ([]catalog.DocHit, error) {
-	return nil, nil
-}
-func (c specColl) CountObs(_ *obs.Trace, _ *obs.Cost, p []byte, tau float64) (int, error) {
-	return 0, nil
+func (c specColl) ID() uint64                                 { return c.id }
+func (c specColl) Name() string                               { return "c" }
+func (c specColl) TauMin() float64                            { return 0.1 }
+func (c specColl) Spec() core.BackendSpec                     { return c.spec }
+func (c specColl) Estimate(patternLen int) core.QueryEstimate { return core.QueryEstimate{} }
+func (c specColl) Exec(core.Query, catalog.ExecOpts) (catalog.Result, error) {
+	return catalog.Result{}, nil
 }
 
 // TestCacheKeyIncludesBackendSpec is the aliasing regression test: even for

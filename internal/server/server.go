@@ -214,23 +214,16 @@ type Collection interface {
 	Name() string
 	TauMin() float64
 	Spec() core.BackendSpec
-	Validate(p []byte, tau float64) error
 	// Estimate prices a pattern of the given length against this collection
 	// from already-available stats — no index access — in core cost units;
 	// the admission tier sheds queries estimated over the tenant's budget
 	// before any fan-out is paid.
 	Estimate(patternLen int) core.QueryEstimate
-	Search(p []byte, tau float64) ([]catalog.DocHit, error)
-	TopK(p []byte, k int) ([]catalog.DocHit, error)
-	Count(p []byte, tau float64) (int, error)
-	// The observed variants are the same queries recording per-stage timings
-	// (shard fan-out, backend search, merge) into tr and resource counters
-	// (shards, candidates, suffix steps, index bytes, merge comparisons)
-	// into c; a nil tr or c records nothing. The server's query path always
-	// calls these.
-	SearchObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) ([]catalog.DocHit, error)
-	TopKObs(tr *obs.Trace, c *obs.Cost, p []byte, k int) ([]catalog.DocHit, error)
-	CountObs(tr *obs.Trace, c *obs.Cost, p []byte, tau float64) (int, error)
+	// Exec is the one query entry point: it runs q, recording per-stage
+	// timings (shard fan-out, backend search, merge) into o.Trace and
+	// resource counters (shards, candidates, suffix steps, index bytes, merge
+	// comparisons) into o.Cost; a nil trace or cost records nothing.
+	Exec(q core.Query, o catalog.ExecOpts) (catalog.Result, error)
 }
 
 // source resolves collections by name. One generic adapter covers every
@@ -446,9 +439,9 @@ func newServer(src source, role Role, st *ingest.Store, cfg Config) *Server {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/v1/debug/slowlog", s.handleSlowLog)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/v1/query", s.limited("query", http.MethodGet, s.handleQuery))
-	s.mux.HandleFunc("/v1/topk", s.limited("topk", http.MethodGet, s.handleTopK))
-	s.mux.HandleFunc("/v1/count", s.limited("count", http.MethodGet, s.handleCount))
+	s.mux.HandleFunc("/v1/query", s.limited("query", http.MethodGet, s.handleOp(core.OpSearch)))
+	s.mux.HandleFunc("/v1/topk", s.limited("topk", http.MethodGet, s.handleOp(core.OpTopK)))
+	s.mux.HandleFunc("/v1/count", s.limited("count", http.MethodGet, s.handleOp(core.OpCount)))
 	s.mux.HandleFunc("/v1/batch", s.limited("batch", http.MethodPost, s.handleBatch))
 	s.mux.HandleFunc("PUT /v1/collections/{collection}/documents/{doc}",
 		s.limited("put", http.MethodPut, s.handlePut))
@@ -800,20 +793,9 @@ func writeDebugHeaders(w http.ResponseWriter, tr *obs.Trace, cost *obs.Cost) {
 	}
 }
 
-// Hit is the JSON shape of one occurrence.
-type Hit struct {
-	Doc  int     `json:"doc"`
-	Pos  int     `json:"pos"`
-	Prob float64 `json:"prob"`
-}
-
-func toHits(dh []catalog.DocHit) []Hit {
-	out := make([]Hit, len(dh))
-	for i, h := range dh {
-		out[i] = Hit{Doc: h.Doc, Pos: h.Pos, Prob: h.Prob}
-	}
-	return out
-}
+// Hit is the JSON shape of one occurrence: the catalog's hit type itself, so
+// a result travels from Exec into the cache and the encoder without a copy.
+type Hit = catalog.DocHit
 
 // QueryResponse answers /v1/query and /v1/topk.
 type QueryResponse struct {
@@ -858,82 +840,55 @@ func (s *Server) collection(name string) (Collection, error) {
 	return col, nil
 }
 
-func (s *Server) pattern(raw string) ([]byte, error) {
-	if raw == "" {
-		return nil, badRequest("missing or empty pattern parameter p")
+// parseQuery builds the core.Query of one operation from its raw wire
+// parameters and applies the server's own bounds (MaxPatternBytes, MaxK) —
+// the one request-validation path of /v1/query, /v1/topk, /v1/count and
+// every /v1/batch op. tau is read for search and count, k for top-k; the
+// other is ignored and its Query field left zero, which keeps it off the
+// response (omitempty). What the index itself rejects (a NUL in the pattern, tau
+// outside (0, 1] or below the collection's tau_min) is left to
+// Query.Validate in execQuery.
+func (s *Server) parseQuery(op core.Op, p, tau, k string) (q core.Query, err error) {
+	if p == "" {
+		return q, badRequest("missing or empty pattern parameter p")
 	}
-	if len(raw) > s.cfg.MaxPatternBytes {
-		return nil, badRequest("pattern longer than the %d byte limit", s.cfg.MaxPatternBytes)
+	if len(p) > s.cfg.MaxPatternBytes {
+		return q, badRequest("pattern longer than the %d byte limit", s.cfg.MaxPatternBytes)
 	}
-	return []byte(raw), nil
+	q.Op, q.Pattern = op, []byte(p)
+	if op != core.OpTopK {
+		if tau == "" {
+			return q, badRequest("missing tau parameter")
+		}
+		if q.Tau, err = strconv.ParseFloat(tau, 64); err != nil {
+			return q, badRequest("bad tau %q", tau)
+		}
+		return q, nil
+	}
+	if k == "" {
+		return q, badRequest("missing k parameter")
+	}
+	if q.K, err = strconv.Atoi(k); err != nil || q.K <= 0 {
+		return q, badRequest("bad k %q (want a positive integer)", k)
+	}
+	if q.K > s.cfg.MaxK {
+		return q, badRequest("k exceeds the %d limit", s.cfg.MaxK)
+	}
+	return q, nil
 }
 
-func parseTau(raw string) (float64, error) {
-	if raw == "" {
-		return 0, badRequest("missing tau parameter")
-	}
-	tau, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, badRequest("bad tau %q", raw)
-	}
-	return tau, nil
-}
-
-func (s *Server) parseK(raw string) (int, error) {
-	if raw == "" {
-		return 0, badRequest("missing k parameter")
-	}
-	k, err := strconv.Atoi(raw)
-	if err != nil || k <= 0 {
-		return 0, badRequest("bad k %q (want a positive integer)", raw)
-	}
-	if k > s.cfg.MaxK {
-		return 0, badRequest("k exceeds the %d limit", s.cfg.MaxK)
-	}
-	return k, nil
-}
-
-// queryKind is one operation of the unified query-execution path.
-type queryKind int
-
-// Query operations.
-const (
-	qSearch queryKind = iota
-	qTopK
-	qCount
-)
-
-// tag returns the cache-key operation tag.
-func (q queryKind) tag() string {
-	switch q {
-	case qTopK:
-		return "k"
-	case qCount:
-		return "c"
-	default:
-		return "q"
-	}
-}
-
-// name returns the operation name used in metric labels and the slow log.
-func (q queryKind) name() string {
-	switch q {
-	case qTopK:
-		return "topk"
-	case qCount:
-		return "count"
-	default:
-		return "search"
-	}
-}
+// cacheTag returns the operation's result-cache key tag: "q" for search, "k"
+// for top-k, "c" for count (indexed by the core.Op values, in their declared
+// order).
+func cacheTag(op core.Op) string { return "qkc"[op : op+1] }
 
 // execQuery is the single query-execution path behind /v1/query, /v1/topk,
 // /v1/count and every /v1/batch op. It consults the collection backend's
 // capabilities before dispatch (top-k on a backend without top-k support is
 // a typed core.ErrUnsupportedQuery, mapped to 422), validates, consults the
-// result cache (whose key folds in the backend spec), fans out, and
-// assembles the response — including the approx/epsilon annotation for
-// ε-approximate collections. tau is ignored for qTopK; k for the others.
+// result cache (whose key folds in the backend spec), runs the query through
+// the collection's Exec, and assembles the response — including the
+// approx/epsilon annotation for ε-approximate collections.
 //
 // The request-level cost accumulates across ops (a batch shares one cost);
 // this op's own contribution — the delta since entry — is what lands in the
@@ -950,42 +905,38 @@ func (q queryKind) name() string {
 // estimate and the measured/estimated ratio into histograms, so estimator
 // drift is observable. t may be nil (direct internal callers): no budget
 // applies.
-func (s *Server) execQuery(t *tenant, tr *obs.Trace, cost *obs.Cost, kind queryKind, col Collection, collName string, p []byte, tau float64, k int) (any, error) {
+func (s *Server) execQuery(t *tenant, tr *obs.Trace, cost *obs.Cost, col Collection, collName string, q core.Query) (any, error) {
 	spec := col.Spec()
 	caps := spec.Capabilities()
-	if kind == qTopK && !caps.TopK {
+	if q.Op == core.OpTopK && !caps.TopK {
 		return nil, fmt.Errorf("%w: top-k requires an exact backend; collection %q uses %s",
 			core.ErrUnsupportedQuery, collName, spec)
 	}
-	// Top-k has no tau; validate the pattern alone (tau=1 is always valid).
-	vtau := tau
-	if kind == qTopK {
-		vtau = 1
-	}
-	if err := col.Validate(p, vtau); err != nil {
+	if err := q.Validate(col.TauMin()); err != nil {
 		return nil, err
 	}
 	if !caps.Exact {
 		s.stats.approxQueries.Inc()
 	}
-	param := strconv.FormatFloat(tau, 'g', -1, 64)
-	if kind == qTopK {
-		param = strconv.Itoa(k)
+	param := strconv.FormatFloat(q.Tau, 'g', -1, 64)
+	if q.Op == core.OpTopK {
+		param = strconv.Itoa(q.K)
 	}
+	op := q.Op.String()
 	if tr != nil {
-		tr.Op = kind.name()
+		tr.Op = op
 		tr.Collection = collName
-		tr.Pattern = string(p)
+		tr.Pattern = string(q.Pattern)
 		tr.Param = param
 		tr.Backend = spec.Kind
 		tr.Epsilon = spec.Epsilon
 	}
 	begin := time.Now()
 	defer func() {
-		s.stats.query(collName, kind.name(), spec.Kind, spec.Epsilon).
+		s.stats.query(collName, op, spec.Kind, spec.Epsilon).
 			ObserveDuration(time.Since(begin))
 	}()
-	key := cacheKey(kind.tag(), col, string(p), param)
+	key := cacheKey(cacheTag(q.Op), col, string(q.Pattern), param)
 	stop := tr.StartStage("cache_lookup")
 	hits, n, ok := s.lookup(key)
 	stop()
@@ -997,12 +948,12 @@ func (s *Server) execQuery(t *tenant, tr *obs.Trace, cost *obs.Cost, kind queryK
 		if tr != nil {
 			tr.Cached = true
 		}
-		return assembleResponse(kind, collName, caps, p, tau, k, hits, n, true), nil
+		return assembleResponse(q, collName, caps, hits, n, true), nil
 	}
 	if s.cache != nil {
 		cost.CacheMiss()
 	}
-	est := col.Estimate(len(p))
+	est := col.Estimate(len(q.Pattern))
 	if tr != nil {
 		tr.EstimatedUnits = est.Units
 	}
@@ -1019,25 +970,9 @@ func (s *Server) execQuery(t *tenant, tr *obs.Trace, cost *obs.Cost, kind queryK
 	if cost != nil {
 		before = *cost
 	}
-	hits, n = nil, 0
-	switch kind {
-	case qTopK:
-		dh, err := col.TopKObs(tr, cost, p, k)
-		if err != nil {
-			return nil, err
-		}
-		hits, n = toHits(dh), len(dh)
-	case qCount:
-		var err error
-		if n, err = col.CountObs(tr, cost, p, tau); err != nil {
-			return nil, err
-		}
-	default:
-		dh, err := col.SearchObs(tr, cost, p, tau)
-		if err != nil {
-			return nil, err
-		}
-		hits, n = toHits(dh), len(dh)
+	res, err := col.Exec(q, catalog.ExecOpts{Trace: tr, Cost: cost})
+	if err != nil {
+		return nil, err
 	}
 	if cost != nil {
 		delta := cost.DeltaSince(before)
@@ -1049,75 +984,40 @@ func (s *Server) execQuery(t *tenant, tr *obs.Trace, cost *obs.Cost, kind queryK
 			s.stats.estimateRatio.Observe(measured / est.Units)
 		}
 	}
-	s.store(key, hits, n)
-	return assembleResponse(kind, collName, caps, p, tau, k, hits, n, false), nil
+	s.store(key, res.Hits, res.Count)
+	return assembleResponse(q, collName, caps, res.Hits, res.Count, false), nil
 }
 
-// assembleResponse builds the JSON shape for one executed query.
-func assembleResponse(kind queryKind, collName string, caps core.Capabilities, p []byte, tau float64, k int, hits []Hit, n int, cached bool) any {
-	if kind == qCount {
-		return &CountResponse{Collection: collName, Pattern: string(p), Tau: tau,
+// assembleResponse builds the JSON shape for one executed query. A search or
+// top-k without hits encodes "hits":[] — never null — so hits is made
+// non-nil here, for fresh and cached results alike.
+func assembleResponse(q core.Query, collName string, caps core.Capabilities, hits []Hit, n int, cached bool) any {
+	if q.Op == core.OpCount {
+		return &CountResponse{Collection: collName, Pattern: string(q.Pattern), Tau: q.Tau,
 			Count: n, Cached: cached, Approx: !caps.Exact, Epsilon: caps.Epsilon}
 	}
-	resp := &QueryResponse{Collection: collName, Pattern: string(p),
+	if hits == nil {
+		hits = []Hit{}
+	}
+	return &QueryResponse{Collection: collName, Pattern: string(q.Pattern), Tau: q.Tau, K: q.K,
 		Count: len(hits), Hits: hits, Cached: cached, Approx: !caps.Exact, Epsilon: caps.Epsilon}
-	if kind == qTopK {
-		resp.K = k
-	} else {
-		resp.Tau = tau
-	}
-	return resp
 }
 
-func (s *Server) handleQuery(r *http.Request, tr *obs.Trace, cost *obs.Cost) (any, error) {
-	q := r.URL.Query()
-	col, err := s.collection(q.Get("collection"))
-	if err != nil {
-		return nil, err
+// handleOp is the handler of /v1/query, /v1/topk and /v1/count: the three
+// differ only in the operation their parameters are parsed for.
+func (s *Server) handleOp(op core.Op) func(*http.Request, *obs.Trace, *obs.Cost) (any, error) {
+	return func(r *http.Request, tr *obs.Trace, cost *obs.Cost) (any, error) {
+		v := r.URL.Query()
+		col, err := s.collection(v.Get("collection"))
+		if err != nil {
+			return nil, err
+		}
+		q, err := s.parseQuery(op, v.Get("p"), v.Get("tau"), v.Get("k"))
+		if err != nil {
+			return nil, err
+		}
+		return s.execQuery(tenantFromContext(r.Context()), tr, cost, col, v.Get("collection"), q)
 	}
-	p, err := s.pattern(q.Get("p"))
-	if err != nil {
-		return nil, err
-	}
-	tau, err := parseTau(q.Get("tau"))
-	if err != nil {
-		return nil, err
-	}
-	return s.execQuery(tenantFromContext(r.Context()), tr, cost, qSearch, col, q.Get("collection"), p, tau, 0)
-}
-
-func (s *Server) handleTopK(r *http.Request, tr *obs.Trace, cost *obs.Cost) (any, error) {
-	q := r.URL.Query()
-	col, err := s.collection(q.Get("collection"))
-	if err != nil {
-		return nil, err
-	}
-	p, err := s.pattern(q.Get("p"))
-	if err != nil {
-		return nil, err
-	}
-	k, err := s.parseK(q.Get("k"))
-	if err != nil {
-		return nil, err
-	}
-	return s.execQuery(tenantFromContext(r.Context()), tr, cost, qTopK, col, q.Get("collection"), p, 0, k)
-}
-
-func (s *Server) handleCount(r *http.Request, tr *obs.Trace, cost *obs.Cost) (any, error) {
-	q := r.URL.Query()
-	col, err := s.collection(q.Get("collection"))
-	if err != nil {
-		return nil, err
-	}
-	p, err := s.pattern(q.Get("p"))
-	if err != nil {
-		return nil, err
-	}
-	tau, err := parseTau(q.Get("tau"))
-	if err != nil {
-		return nil, err
-	}
-	return s.execQuery(tenantFromContext(r.Context()), tr, cost, qCount, col, q.Get("collection"), p, tau, 0)
 }
 
 // BatchQuery is one entry of a batch request. Op selects the operation:
@@ -1127,6 +1027,14 @@ type BatchQuery struct {
 	Pattern string  `json:"p"`
 	Tau     float64 `json:"tau"`
 	K       int     `json:"k"`
+}
+
+// batchOps maps BatchQuery.Op onto the operation it names.
+var batchOps = map[string]core.Op{
+	"":                     core.OpSearch,
+	core.OpSearch.String(): core.OpSearch,
+	core.OpTopK.String():   core.OpTopK,
+	core.OpCount.String():  core.OpCount,
 }
 
 // BatchRequest is the /v1/batch payload.
@@ -1180,34 +1088,28 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace, cost *obs.Cost) (an
 	rid := RequestIDFromContext(r.Context())
 	tn := tenantFromContext(r.Context())
 	resp := BatchResponse{Collection: req.Collection, Results: make([]BatchResult, len(req.Queries))}
-	for i, q := range req.Queries {
-		var (
-			result any
-			qerr   error
-		)
-		p, qerr := s.pattern(q.Pattern)
+	for i, bq := range req.Queries {
+		// Every op is parsed by the same parseQuery and funnels through the
+		// same execQuery path the single endpoints use, so bounds, capability
+		// checks, cache keys and the approx/epsilon annotations are identical
+		// batch or not. The batch's single trace and cost accumulate every
+		// op's stages and counters; the identity fields end up describing the
+		// last op, so the slow log's Op/Pattern are cleared below for
+		// multi-query batches.
+		//
+		// parseQuery reads the wire's strings, so the decoded numbers are
+		// rendered back for it ('g' with precision -1 round-trips a float64
+		// exactly). An unknown op parses as a search, so that a bad pattern
+		// is still the first thing reported.
+		op, known := batchOps[bq.Op]
+		q, qerr := s.parseQuery(op, bq.Pattern,
+			strconv.FormatFloat(bq.Tau, 'g', -1, 64), strconv.Itoa(bq.K))
+		if qerr == nil && !known {
+			qerr = badRequest("unknown op %q", bq.Op)
+		}
+		var result any
 		if qerr == nil {
-			// Every op funnels through the same execQuery path the single
-			// endpoints use, so capability checks, cache keys and the
-			// approx/epsilon annotations are identical batch or not.
-			// The batch's single trace and cost accumulate every op's stages
-			// and counters; the identity fields end up describing the last
-			// op, so the slow log's Op/Pattern are cleared below for
-			// multi-query batches.
-			switch q.Op {
-			case "", "search":
-				result, qerr = s.execQuery(tn, tr, cost, qSearch, col, req.Collection, p, q.Tau, 0)
-			case "topk":
-				if q.K <= 0 || q.K > s.cfg.MaxK {
-					qerr = badRequest("bad k %d", q.K)
-				} else {
-					result, qerr = s.execQuery(tn, tr, cost, qTopK, col, req.Collection, p, 0, q.K)
-				}
-			case "count":
-				result, qerr = s.execQuery(tn, tr, cost, qCount, col, req.Collection, p, q.Tau, 0)
-			default:
-				qerr = badRequest("unknown op %q", q.Op)
-			}
+			result, qerr = s.execQuery(tn, tr, cost, col, req.Collection, q)
 		}
 		opID := ""
 		if rid != "" {

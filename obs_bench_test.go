@@ -64,29 +64,17 @@ func (c *costSink) observe(v obs.Cost) {
 	c.mergeComparisons.Observe(float64(v.MergeComparisons))
 }
 
-// searchMetrics mirrors the server's default execQuery bookkeeping: the
-// latency histogram observation, the always-allocated request cost
-// descending the fan-out (nil trace), and the per-resource cost histogram
-// observations for the executed query.
-func searchMetrics(col *catalog.Collection, hist *obs.Histogram, costs *costSink, p []byte) error {
+// searchObserved mirrors the server's execQuery bookkeeping: the latency
+// histogram observation, the always-allocated request cost descending the
+// fan-out, and the per-resource cost histogram observations for the executed
+// query. tr is nil on the default path and live when the slow-query log is
+// enabled — the only difference between the metrics and traced variants.
+func searchObserved(col *catalog.Collection, hist *obs.Histogram, costs *costSink, tr *obs.Trace, p []byte) error {
 	cost := &obs.Cost{}
 	begin := time.Now()
 	before := *cost
-	_, err := col.SearchObs(nil, cost, p, backendBenchTau)
-	hist.ObserveDuration(time.Since(begin))
-	costs.observe(cost.DeltaSince(before))
-	return err
-}
-
-// searchTraced mirrors execQuery with the slow-query log enabled: a live
-// trace AND the request cost descending the fan-out, plus both histogram
-// observations.
-func searchTraced(col *catalog.Collection, hist *obs.Histogram, costs *costSink, p []byte) error {
-	tr := &obs.Trace{}
-	cost := &obs.Cost{}
-	begin := time.Now()
-	before := *cost
-	_, err := col.SearchObs(tr, cost, p, backendBenchTau)
+	q := core.Query{Op: core.OpSearch, Pattern: p, Tau: backendBenchTau}
+	_, err := col.Exec(q, catalog.ExecOpts{Trace: tr, Cost: cost})
 	hist.ObserveDuration(time.Since(begin))
 	costs.observe(cost.DeltaSince(before))
 	return err
@@ -127,8 +115,8 @@ func measureObsOverhead(tb testing.TB) (rawNs, metricsNs, tracedNs int64) {
 		pats := st.pats[m]
 		variants := []func(p []byte) error{
 			func(p []byte) error { return searchRaw(col, p) },
-			func(p []byte) error { return searchMetrics(col, hist, costs, p) },
-			func(p []byte) error { return searchTraced(col, hist, costs, p) },
+			func(p []byte) error { return searchObserved(col, hist, costs, nil, p) },
+			func(p []byte) error { return searchObserved(col, hist, costs, &obs.Trace{}, p) },
 		}
 		medians := make([]func(r int) int64, len(variants))
 		for i, fn := range variants {
@@ -191,8 +179,8 @@ func BenchmarkObsSearch(b *testing.B) {
 			fn   func(p []byte) error
 		}{
 			{"raw", func(p []byte) error { return searchRaw(col, p) }},
-			{"metrics", func(p []byte) error { return searchMetrics(col, hist, costs, p) }},
-			{"traced", func(p []byte) error { return searchTraced(col, hist, costs, p) }},
+			{"metrics", func(p []byte) error { return searchObserved(col, hist, costs, nil, p) }},
+			{"traced", func(p []byte) error { return searchObserved(col, hist, costs, &obs.Trace{}, p) }},
 		} {
 			b.Run(fmt.Sprintf("variant=%s/m=%d", v.name, m), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

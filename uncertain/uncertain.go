@@ -302,6 +302,25 @@ type CatalogOptions = catalog.Options
 // DocHit is one catalog search result: an occurrence within a document.
 type DocHit = catalog.DocHit
 
+// Query is one catalog query as a value — an operation, a pattern and its
+// threshold or k. Collection.Exec and LiveView.Exec are the one entry point
+// that runs it; their Search, TopK and Count are one-line wrappers.
+type Query = core.Query
+
+// The operations of a Query.
+const (
+	OpSearch = core.OpSearch
+	OpTopK   = core.OpTopK
+	OpCount  = core.OpCount
+)
+
+// ExecOpts are the per-request extras of Exec (a Trace to time its stages);
+// QueryResult is its answer.
+type (
+	ExecOpts    = catalog.ExecOpts
+	QueryResult = catalog.Result
+)
+
 // NewCatalog returns an empty catalog; add collections with Add.
 func NewCatalog(opts CatalogOptions) *Catalog { return catalog.New(opts) }
 
@@ -403,8 +422,8 @@ func NewMetricsRegistry() *MetricsRegistry {
 }
 
 // Trace records one request's per-stage timings as it descends the query
-// path; pass it to the *Traced query variants. A nil *Trace is valid and
-// records nothing.
+// path; pass it to Collection.Exec or LiveView.Exec as ExecOpts.Trace. A nil
+// *Trace is valid and records nothing.
 type Trace = obs.Trace
 
 // TraceStage is one timed step of a Trace.

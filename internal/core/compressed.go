@@ -23,8 +23,11 @@ import (
 //   - an FM-index over the transformed text (the wavelet-tree BWT of
 //     internal/fm — the compressed suffix array of the paper's Section 8.7)
 //     with a sampled suffix array for locating,
-//   - the shared log-domain prefix sums (the C array), and
-//   - the Pos array mapping text positions back to original positions.
+//   - the log-domain prefix sums (the C array), and
+//   - a factor.Map: one bit per text position marking the zero-probability
+//     positions (separators included) and one offset per run between them.
+//     It stands in for the Pos array and for the C array's zero counts,
+//     both of which depend only on which factor a position lies in.
 //
 // Queries retrieve the suffix range by backward search, then scan it:
 // every entry is located through the LF walk, its window probability is
@@ -32,10 +35,11 @@ import (
 // keep-max dedup reproduces the duplicate-elimination bitmaps' effect. The
 // probability arithmetic is identical float64 operations on identical
 // inputs, so results are bit-identical to the plain backend's — at a query
-// cost of O(m log σ + range·rate·log σ) instead of O(m + occ): one wavelet
-// descent per backward-search step and per LF hop. On the standard workload
-// (BENCH_4.json) that is ≈ 1.5–2× the plain backend's latency for m ≥ 4 and
-// ≈ 6× at m = 2, where the range is widest, for ≈ 3× fewer index bytes.
+// cost of O(m log σ + range·(rate/2)·log σ) instead of O(m + occ): one
+// wavelet descent per backward-search step and per LF hop, 1.5 hops per
+// located row at the default rate of 4. On the standard workload
+// (BENCH_4.json) that is ≈ 1.2–1.4× the plain backend's latency for m ≥ 4
+// and ≈ 2× at m = 2, where the range is widest, for ≈ 5× fewer index bytes.
 //
 // The FM-index reserves byte 0xFF; a document whose transformed text uses it
 // cannot be compressed and Build fails (the plain backend has no such
@@ -47,9 +51,9 @@ type CompressedIndex struct {
 	longCap int
 	rate    int
 
-	fm  *fm.Index
-	pre *prob.Prefix
-	pos []int32
+	fm   *fm.Index
+	sums []float64 // sums[i] = Σ_{k<i} log p_k over unmarked positions; len n+1
+	fmap *factor.Map
 
 	// Correlation support: corrAdjust reads the raw transformed text and
 	// per-position log probabilities, so both are retained — but only when
@@ -90,7 +94,8 @@ func BuildCompressed(s *ustring.String, tauMin float64, opts ...Option) (*Compre
 
 // newCompressed assembles the backend from a transformation (fresh or
 // deserialised). Only T, LogP and Pos of tr are used; the transformation
-// itself is not retained.
+// itself is not retained. The prefix sums are prob.NewPrefix's, term for
+// term: zero-probability positions add nothing and are marked in the map.
 func newCompressed(s *ustring.String, tauMin float64, longCap, rate int, tr *factor.Transformed) (*CompressedIndex, error) {
 	if rate <= 0 {
 		rate = fm.DefaultSampleRate
@@ -106,8 +111,16 @@ func newCompressed(s *ustring.String, tauMin float64, longCap, rate int, tr *fac
 		longCap: longCap,
 		rate:    rate,
 		fm:      fmx,
-		pre:     prob.NewPrefix(tr.LogP),
-		pos:     tr.Pos,
+		sums:    make([]float64, len(tr.LogP)+1),
+		fmap:    tr.Map(),
+	}
+	bits := cx.fmap.Bits()
+	var run float64
+	for i, lp := range tr.LogP {
+		if !bits.Get(i) {
+			run += lp
+		}
+		cx.sums[i+1] = run
 	}
 	if len(s.Corr) > 0 {
 		cx.t = tr.T
@@ -121,17 +134,18 @@ func newCompressed(s *ustring.String, tauMin float64, longCap, rate int, tr *fac
 // arithmetic (see index.go) over the retained arrays, keeping corrected
 // probabilities bit-identical across backends by construction.
 func (cx *CompressedIndex) corrAdjust(xStart, length int) float64 {
-	return corrAdjust(cx.src, cx.t, cx.logp, cx.pos, xStart, length)
+	return corrAdjust(cx.src, cx.t, cx.logp, cx.fmap.Pos(xStart), xStart, length)
 }
 
 // windowLogProb is the corrected log probability of the length-m window at
 // text position x — the compressed counterpart of Engine.rawCi, computed
-// from the identical prefix sums.
+// from the identical prefix sums: prob.Prefix.Span with the zero-count test
+// replaced by the map's run test.
 func (cx *CompressedIndex) windowLogProb(x, m int) float64 {
-	lp := cx.pre.Span(x, x+m)
-	if lp == prob.LogZero {
+	if x < 0 || x+m >= len(cx.sums) || cx.fmap.Run(x+m) != cx.fmap.Run(x) {
 		return prob.LogZero
 	}
+	lp := cx.sums[x+m] - cx.sums[x]
 	if cx.corr != nil {
 		lp += cx.corr(x, m)
 	}
@@ -139,12 +153,14 @@ func (cx *CompressedIndex) windowLogProb(x, m int) float64 {
 }
 
 // bestPerKey scans the suffix range of p and keeps, per dedup key (original
-// position), the most probable window — ties resolved to the first entry in
-// suffix-array order, exactly like the plain engine's duplicate bitmaps and
-// scan paths. Results come back in key order; callers whose contract
-// includes another ordering sort (Count does not, and Search re-sorts by
-// position anyway).
-func (cx *CompressedIndex) bestPerKey(p []byte, st *QueryStats) []Hit {
+// position), the most probable window above tau (0 keeps every live window)
+// — ties resolved to the first entry in suffix-array order, exactly like the
+// plain engine's duplicate bitmaps and scan paths. Windows at or below tau
+// are dropped before the sort: a key's maximum passes iff any of its windows
+// does, so the surviving Hit per key is the one keep-max-then-filter picks.
+// Results come back in key order; callers whose contract includes another
+// ordering sort (Count does not, and Search re-sorts by position anyway).
+func (cx *CompressedIndex) bestPerKey(p []byte, tau float64, st *QueryStats) []Hit {
 	lo, hi, ok, steps := cx.fm.RangeCount(p)
 	if !ok {
 		st.add(0, int64(steps), int64(steps)*fmStepBytes)
@@ -152,22 +168,19 @@ func (cx *CompressedIndex) bestPerKey(p []byte, st *QueryStats) []Hit {
 	}
 	m := len(p)
 	var hops int64
-	hits := make([]Hit, 0, hi-lo+1) // every live window, in suffix-array order
+	hits := make([]Hit, 0, hi-lo+1) // every window above tau, in suffix-array order
 	for j := lo; j <= hi; j++ {
 		x, h := cx.fm.LocateCount(j)
 		hops += int64(h)
 		lp := cx.windowLogProb(int(x), m)
-		if lp == prob.LogZero {
+		if !prob.Greater(lp, tau) {
 			continue
 		}
-		if int(x) >= len(cx.pos) {
+		k := cx.fmap.Pos(int(x))
+		if k < 0 || k >= cx.srcLen {
 			continue // only reachable over corrupt (unverified mapped) data
 		}
-		k := cx.pos[x]
-		if k < 0 {
-			continue // separator window; unreachable past the LogZero check
-		}
-		hits = append(hits, Hit{XPos: x, Orig: k, Key: k, LogProb: lp})
+		hits = append(hits, Hit{XPos: x, Orig: int32(k), Key: int32(k), LogProb: lp})
 	}
 	scanned := int64(hi - lo + 1)
 	st.add(scanned, int64(steps)+hops,
@@ -185,6 +198,9 @@ func (cx *CompressedIndex) bestPerKey(p []byte, st *QueryStats) []Hit {
 		}
 		out = append(out, h)
 	}
+	if len(out) == 0 {
+		return nil // like the plain backend, not an empty slice
+	}
 	return out
 }
 
@@ -194,14 +210,13 @@ func (cx *CompressedIndex) Search(p []byte, tau float64) ([]int, error) {
 	if err := ValidateQuery(p, tau, cx.tauMin); err != nil {
 		return nil, err
 	}
-	var out []int
-	for _, h := range cx.bestPerKey(p, nil) {
-		if prob.Greater(h.LogProb, tau) {
-			out = append(out, int(h.Orig))
-		}
-	}
-	if len(out) == 0 {
+	hits := cx.bestPerKey(p, tau, nil)
+	if len(hits) == 0 {
 		return nil, nil
+	}
+	out := make([]int, len(hits))
+	for i, h := range hits {
+		out[i] = int(h.Orig)
 	}
 	sort.Ints(out)
 	return out, nil
@@ -219,12 +234,7 @@ func (cx *CompressedIndex) SearchHitsCosted(p []byte, tau float64, st *QueryStat
 	if err := ValidateQuery(p, tau, cx.tauMin); err != nil {
 		return nil, err
 	}
-	var hits []Hit
-	for _, h := range cx.bestPerKey(p, st) {
-		if prob.Greater(h.LogProb, tau) {
-			hits = append(hits, h)
-		}
-	}
+	hits := cx.bestPerKey(p, tau, st)
 	sortHitsByProb(hits)
 	return hits, nil
 }
@@ -245,13 +255,10 @@ func (cx *CompressedIndex) SearchTopKCosted(p []byte, k int, st *QueryStats) ([]
 	if k <= 0 {
 		return nil, nil
 	}
-	hits := cx.bestPerKey(p, st)
+	hits := cx.bestPerKey(p, 0, st)
 	sortHitsByProb(hits)
 	if len(hits) > k {
 		hits = hits[:k]
-	}
-	if len(hits) == 0 {
-		return nil, nil
 	}
 	return hits, nil
 }
@@ -267,13 +274,7 @@ func (cx *CompressedIndex) SearchCountCosted(p []byte, tau float64, st *QuerySta
 	if err := ValidateQuery(p, tau, cx.tauMin); err != nil {
 		return 0, err
 	}
-	n := 0
-	for _, h := range cx.bestPerKey(p, st) {
-		if prob.Greater(h.LogProb, tau) {
-			n++
-		}
-	}
-	return n, nil
+	return len(cx.bestPerKey(p, tau, st)), nil
 }
 
 // TauMin returns the construction threshold.
@@ -317,14 +318,14 @@ func (cx *CompressedIndex) SampleRate() int { return cx.rate }
 
 // Space itemises the resident index memory in the plain backend's
 // categories: the FM-index stands in for text+suffix array, the prefix sums
-// are the probability array, and Pos (plus the correlation-support arrays,
-// when retained) are the position bookkeeping. The RMQ-level categories are
-// zero — the compressed backend has none.
+// are the probability array, and the position map (plus the
+// correlation-support arrays, when retained) is the position bookkeeping.
+// The RMQ-level categories are zero — the compressed backend has none.
 func (cx *CompressedIndex) Space() SpaceBreakdown {
 	return SpaceBreakdown{
 		TextAndSA:  cx.fm.Bytes(),
-		ProbArray:  cx.pre.Bytes(),
-		PosAndKeys: len(cx.pos)*4 + len(cx.t) + len(cx.logp)*8,
+		ProbArray:  len(cx.sums) * 8,
+		PosAndKeys: cx.fmap.Bytes() + len(cx.t) + len(cx.logp)*8,
 	}
 }
 

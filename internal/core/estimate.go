@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/fm"
+)
 
 // This file is the pre-execution query cost model: it prices a query from
 // statistics the serving tier already holds — document count, total
@@ -101,8 +105,8 @@ func EstimateQuery(spec BackendSpec, docs, positions, shards, longCap, patternLe
 	switch spec.Kind {
 	case BackendCompressed:
 		// FM backward search: ≤ m rank steps per document, plus an LF-walk
-		// of ~the SA sample rate per surviving candidate to locate it.
-		steps = d*m + candidates*16
+		// of half the SA sample rate per surviving candidate to locate it.
+		steps = d*m + candidates*fm.DefaultSampleRate/2
 		bytes = steps * 15
 	case BackendApprox:
 		// ε-index locus descent: linear in the pattern per document, with

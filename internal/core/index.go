@@ -78,15 +78,15 @@ func Build(s *ustring.String, tauMin float64, opts ...Option) (*Index, error) {
 // divide-by-pr⁺-multiply-by-correct trick in log domain, generalised to base
 // probabilities).
 func (ix *Index) corrAdjust(xStart, length int) float64 {
-	return corrAdjust(ix.src, ix.tr.T, ix.tr.LogP, ix.tr.Pos, xStart, length)
+	return corrAdjust(ix.src, ix.tr.T, ix.tr.LogP, int(ix.tr.Pos[xStart]), xStart, length)
 }
 
-// corrAdjust is the shared correlation-correction arithmetic. Every backend
-// routes through this one function so corrected probabilities stay in exact
-// float-operation lockstep — the bit-identical-results guarantee depends on
-// it.
-func corrAdjust(src *ustring.String, t []byte, logp []float64, pos []int32, xStart, length int) float64 {
-	s0 := int(pos[xStart])
+// corrAdjust is the shared correlation-correction arithmetic for the window
+// of the given length at text position xStart, whose first character sits at
+// source position s0. Every backend routes through this one function so
+// corrected probabilities stay in exact float-operation lockstep — the
+// bit-identical-results guarantee depends on it.
+func corrAdjust(src *ustring.String, t []byte, logp []float64, s0, xStart, length int) float64 {
 	adj := 0.0
 	for _, c := range src.Corr {
 		if c.At < s0 || c.At >= s0+length {

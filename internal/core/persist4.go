@@ -10,9 +10,9 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/factor"
 	"repro/internal/fm"
 	"repro/internal/mapped"
-	"repro/internal/prob"
 	"repro/internal/rank"
 	"repro/internal/ustring"
 )
@@ -21,7 +21,7 @@ import (
 // the source plus transformation and rebuilding every query structure on
 // load, the compressed backend's structures themselves — wavelet-tree BWT
 // levels, rank blocks, sampled suffix array, probability prefix sums, the
-// Pos map — are written as 8-byte-aligned, checksummed regions that the
+// position map — are written as 8-byte-aligned, checksummed regions that the
 // query code addresses in place. Loading is O(regions), not O(corpus):
 // from an mmap'd file no payload page is touched until a query faults it
 // in. The source string is stored as flattened per-position tables and
@@ -35,6 +35,9 @@ import (
 
 // Region tags of the compressed backend's format-4 envelope. Level tags
 // are per wavelet level: tagLevelWords|d and tagLevelBlocks|d for level d.
+// tagProbZeros and tagPos are read-only: envelopes written before the
+// position map (PR 15) carry them in place of the three tagMap regions, and
+// legacyMap derives the map from them at open.
 const (
 	tagMeta         = 0x4154454D // "META"
 	tagCounts       = 0x53544E43 // cumulative symbol counts, []int32[258]
@@ -43,8 +46,11 @@ const (
 	tagSampledBlks  = 0x42504D53 // sampled-rows block counts, []int32
 	tagSamples      = 0x4C504D53 // sampled SA' values, []int32
 	tagProbSums     = 0x4D555350 // prefix log-prob sums, []float64
-	tagProbZeros    = 0x4F525A50 // prefix zero counts, []int32
-	tagPos          = 0x2E534F50 // text position → source position, []int32
+	tagProbZeros    = 0x4F525A50 // legacy: prefix zero counts, []int32
+	tagPos          = 0x2E534F50 // legacy: text position → source position, []int32
+	tagMapWords     = 0x5750414D // position-map bit words, []uint64
+	tagMapBlocks    = 0x4250414D // position-map block counts, []int32
+	tagMapDeltas    = 0x4450414D // position-map per-run offsets, []int32
 	tagSrcOffsets   = 0x46464F53 // source CSR offsets, []int32, len srcLen+1
 	tagSrcChars     = 0x52484353 // source choice characters, raw bytes
 	tagSrcProbs     = 0x52505353 // source choice probabilities, []float64
@@ -157,9 +163,10 @@ func (cx *CompressedIndex) WriteTo(w io.Writer) (int64, error) {
 	b.AddU64s(tagSampledWords, cx.fm.SampledRows().Words())
 	b.AddI32s(tagSampledBlks, cx.fm.SampledRows().BlockCounts())
 	b.AddI32s(tagSamples, cx.fm.Samples())
-	b.AddF64s(tagProbSums, cx.pre.Sums())
-	b.AddI32s(tagProbZeros, cx.pre.ZeroUpTo())
-	b.AddI32s(tagPos, cx.pos)
+	b.AddF64s(tagProbSums, cx.sums)
+	b.AddU64s(tagMapWords, cx.fmap.Bits().Words())
+	b.AddI32s(tagMapBlocks, cx.fmap.Bits().BlockCounts())
+	b.AddI32s(tagMapDeltas, cx.fmap.Deltas())
 
 	// Source string as CSR: one offset per position, flattened choices.
 	offsets := make([]int32, src.Len()+1)
@@ -309,23 +316,12 @@ func backendFromEnvelope(env *mapped.Envelope, eager bool) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	zeros, err := regionI32s(env, tagProbZeros, "prob zeros")
+	if len(sums) != meta.n+1 {
+		return nil, fmt.Errorf("%w: prefix sums cover %d positions, text has %d", ErrCorruptIndex, len(sums)-1, meta.n)
+	}
+	fmap, err := mapFromEnvelope(env, meta.n)
 	if err != nil {
 		return nil, err
-	}
-	pre, err := prob.PrefixFromParts(sums, zeros)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorruptIndex, err)
-	}
-	if pre.Len() != meta.n {
-		return nil, fmt.Errorf("%w: prefix covers %d positions, text has %d", ErrCorruptIndex, pre.Len(), meta.n)
-	}
-	pos, err := regionI32s(env, tagPos, "pos")
-	if err != nil {
-		return nil, err
-	}
-	if len(pos) != meta.n {
-		return nil, fmt.Errorf("%w: pos table has %d entries, text has %d", ErrCorruptIndex, len(pos), meta.n)
 	}
 
 	offsets, err := regionI32s(env, tagSrcOffsets, "source offsets")
@@ -364,8 +360,8 @@ func backendFromEnvelope(env *mapped.Envelope, eager bool) (Backend, error) {
 		longCap: meta.longCap,
 		rate:    meta.rate,
 		fm:      fmx,
-		pre:     pre,
-		pos:     pos,
+		sums:    sums,
+		fmap:    fmap,
 		env:     env,
 		srcLen:  meta.srcLen,
 	}
@@ -401,6 +397,53 @@ func backendFromEnvelope(env *mapped.Envelope, eager bool) (Backend, error) {
 		}
 	}
 	return cx, nil
+}
+
+// mapFromEnvelope assembles the position map over its three regions, or —
+// for an envelope written before they existed — from the legacy tables.
+func mapFromEnvelope(env *mapped.Envelope, n int) (*factor.Map, error) {
+	if _, ok := env.Region(tagMapWords); !ok {
+		return legacyMap(env, n)
+	}
+	words, err := regionU64s(env, tagMapWords, "map words")
+	if err != nil {
+		return nil, err
+	}
+	blocks, err := regionI32s(env, tagMapBlocks, "map blocks")
+	if err != nil {
+		return nil, err
+	}
+	bits, err := rank.FromParts(words, blocks, n)
+	if err != nil {
+		return nil, fmt.Errorf("%w: position map: %w", ErrCorruptIndex, err)
+	}
+	delta, err := regionI32s(env, tagMapDeltas, "map deltas")
+	if err != nil {
+		return nil, err
+	}
+	fmap, err := factor.MapFromParts(bits, delta)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptIndex, err)
+	}
+	return fmap, nil
+}
+
+// legacyMap builds, on the heap and in one pass, the position map of an
+// envelope that stores a Pos entry and a prefix zero count per text position
+// instead: a position is marked where the zero count steps up.
+func legacyMap(env *mapped.Envelope, n int) (*factor.Map, error) {
+	zeros, err := regionI32s(env, tagProbZeros, "prob zeros")
+	if err != nil {
+		return nil, err
+	}
+	pos, err := regionI32s(env, tagPos, "pos")
+	if err != nil {
+		return nil, err
+	}
+	if len(zeros) != n+1 || len(pos) != n {
+		return nil, fmt.Errorf("%w: %d zero counts and %d pos entries, text has %d", ErrCorruptIndex, len(zeros), len(pos), n)
+	}
+	return factor.NewMap(pos, func(x int) bool { return zeros[x+1] > zeros[x] }), nil
 }
 
 // materializeSource rebuilds the uncertain string from its CSR regions.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -134,18 +136,15 @@ func TestFormat4Equivalence(t *testing.T) {
 	})
 }
 
-// TestFormat4ParentFixture pins the file format across the kernel rewrite:
-// testdata/format4_pr11.idx was written by the commit before the wavelet
-// descent tables existed (gen.Single N=120 θ=0.3 seed 467, τmin 0.1). The
-// tables are derived at open, never persisted, so the old file must open
-// (mapped and streamed), answer exactly like a fresh build, re-save
-// byte-identically, and a fresh build must still serialise to the same bytes.
+// TestFormat4ParentFixture pins the file format on both sides of a layout
+// change. Both fixtures hold the same document (gen.Single N=120 θ=0.3 seed
+// 467, τmin 0.1): testdata/format4_pr11.idx was written before the position
+// map existed — per-position Pos and zero-count regions, sample rate 32 —
+// and testdata/format4_pr15.idx by the commit that introduced the map. Each
+// must open (mapped and streamed), answer exactly like a fresh build and
+// re-save byte-identically; a fresh build must serialise to the newest
+// fixture's bytes, so the next layout change is held to the same rule.
 func TestFormat4ParentFixture(t *testing.T) {
-	path := filepath.Join("testdata", "format4_pr11.idx")
-	golden, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := gen.Single(gen.Config{N: 120, Theta: 0.3, Seed: 467})
 	built, err := BuildCompressed(s, 0.1)
 	if err != nil {
@@ -155,28 +154,35 @@ func TestFormat4ParentFixture(t *testing.T) {
 	if _, err := built.WriteTo(&fresh); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fresh.Bytes(), golden) {
-		t.Error("a fresh build no longer serialises to the parent commit's bytes")
-	}
+	for _, name := range []string{"format4_pr11.idx", "format4_pr15.idx"} {
+		path := filepath.Join("testdata", name)
+		golden, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "format4_pr15.idx" && !bytes.Equal(fresh.Bytes(), golden) {
+			t.Errorf("a fresh build no longer serialises to %s's bytes", name)
+		}
 
-	streamed, err := ReadBackend(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatalf("ReadBackend(parent file): %v", err)
-	}
-	queryGrid(t, s, built, streamed, "parent-file stream")
+		streamed, err := ReadBackend(bytes.NewReader(golden))
+		if err != nil {
+			t.Fatalf("ReadBackend(%s): %v", name, err)
+		}
+		queryGrid(t, s, built, streamed, name+" stream")
 
-	opened, _, err := OpenBackendFile(path, true)
-	if err != nil {
-		t.Fatalf("OpenBackendFile(parent file): %v", err)
-	}
-	defer CloseBackend(opened)
-	queryGrid(t, s, built, opened, "parent-file mmap")
-	var again bytes.Buffer
-	if _, err := opened.(*CompressedIndex).WriteTo(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), golden) {
-		t.Error("re-saved parent file is not byte-identical")
+		opened, _, err := OpenBackendFile(path, true)
+		if err != nil {
+			t.Fatalf("OpenBackendFile(%s): %v", name, err)
+		}
+		defer CloseBackend(opened)
+		queryGrid(t, s, built, opened, name+" mmap")
+		var again bytes.Buffer
+		if _, err := opened.(*CompressedIndex).WriteTo(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), golden) {
+			t.Errorf("re-saved %s is not byte-identical", name)
+		}
 	}
 }
 
@@ -219,6 +225,68 @@ func TestFormat4CorrelatedEquivalence(t *testing.T) {
 	if !reflect.DeepEqual(got.Source(), s) {
 		t.Error("correlated source diverges after envelope round trip")
 	}
+}
+
+// withRegion re-assembles the envelope raw with one region rewritten, so the
+// checksums are valid again and the mutation reaches the structural
+// validators and the query path instead of dying in VerifyChecksums.
+func withRegion(tb testing.TB, raw []byte, tag uint32, mutate func([]byte) []byte) []byte {
+	tb.Helper()
+	env, err := mapped.Open(raw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var b mapped.Builder
+	for _, tg := range env.Tags() {
+		r, _ := env.Region(tg)
+		if tg == tag {
+			r = mutate(append([]byte(nil), r...))
+		}
+		b.Add(tg, r)
+	}
+	var out bytes.Buffer
+	if _, err := b.WriteTo(&out); err != nil {
+		tb.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// hostileMaps returns a position-map envelope with, in turn, every map bit
+// set, every map bit cleared, and the extreme int32s in the deltas: all
+// structurally valid, all wrong.
+func hostileMaps(tb testing.TB, raw []byte) [][]byte {
+	fill := func(v byte) func([]byte) []byte {
+		return func(r []byte) []byte {
+			for i := range r {
+				r[i] = v
+			}
+			return r
+		}
+	}
+	return [][]byte{
+		withRegion(tb, raw, tagMapWords, fill(0xFF)),
+		withRegion(tb, raw, tagMapWords, fill(0)),
+		withRegion(tb, raw, tagMapDeltas, func(r []byte) []byte {
+			for i := 0; i+4 <= len(r); i += 4 {
+				v := uint32(math.MaxInt32)
+				if i%8 == 0 {
+					v = 1 << 31 // math.MinInt32
+				}
+				binary.LittleEndian.PutUint32(r[i:], v)
+			}
+			return r
+		}),
+	}
+}
+
+// legacyFixture is an envelope in the layout before the position map.
+func legacyFixture(tb testing.TB) []byte {
+	tb.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "format4_pr11.idx"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
 }
 
 // TestFormat4Hostile drives ReadBackend over truncations and bit flips of
@@ -275,6 +343,27 @@ func TestFormat4Hostile(t *testing.T) {
 		}
 		check(t, data)
 	})
+	t.Run("position map", func(t *testing.T) {
+		short := withRegion(t, raw, tagMapDeltas, func(r []byte) []byte { return r[:len(r)-4] })
+		if _, err := ReadBackend(bytes.NewReader(short)); !errors.Is(err, ErrCorruptIndex) {
+			t.Errorf("delta region one entry short: err = %v, want ErrCorruptIndex", err)
+		}
+		for i, data := range hostileMaps(t, raw) {
+			b, err := ReadBackend(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("hostile map %d: structurally valid envelope rejected: %v", i, err)
+			}
+			for _, p := range gen.Patterns(s, 8, 2, 433) {
+				hits, _ := b.SearchHits(p, 0.1)
+				for _, h := range hits {
+					if h.Orig < 0 || int(h.Orig) >= s.Len() {
+						t.Fatalf("hostile map %d: hit at source position %d of %d", i, h.Orig, s.Len())
+					}
+				}
+				_, _ = b.SearchTopK(p, 5)
+			}
+		}
+	})
 }
 
 func FuzzReadBackend(f *testing.F) {
@@ -289,6 +378,11 @@ func FuzzReadBackend(f *testing.F) {
 	}
 	f.Add(env.Bytes())
 	f.Add(env.Bytes()[:env.Len()/2])
+	f.Add(legacyFixture(f))
+	f.Add(withRegion(f, env.Bytes(), tagMapDeltas, func(r []byte) []byte { return r[:len(r)-4] }))
+	for _, data := range hostileMaps(f, env.Bytes()) {
+		f.Add(data)
+	}
 	px, err := Build(s, 0.1)
 	if err != nil {
 		f.Fatal(err)
@@ -315,8 +409,9 @@ func FuzzReadBackend(f *testing.F) {
 	})
 }
 
-// FuzzQuery drives the compressed query path over envelopes whose payload
-// bits were flipped after writing. The envelope is opened the way the mmap
+// FuzzQuery drives the compressed query path over envelopes — in the current
+// layout and in the one before the position map — whose payload bits were
+// flipped after writing. The envelope is opened the way the mmap
 // fast path opens it — structure validated, checksums not — so corrupt rank
 // words, samples and prefix sums reach backward search, the LF walks and the
 // window arithmetic. Such an index may mis-answer; it must never panic, and
@@ -331,14 +426,20 @@ func FuzzQuery(f *testing.F) {
 	if _, err := cx.WriteTo(&env); err != nil {
 		f.Fatal(err)
 	}
-	raw := env.Bytes()
+	layouts := [2][]byte{env.Bytes(), legacyFixture(f)}
 	for _, p := range gen.Patterns(s, 4, 2, 449) {
-		f.Add(p, 0.12, 3, uint32(len(raw)/2), byte(0x10))
+		f.Add(p, 0.12, 3, uint32(len(layouts[0])/2), byte(0x10), false)
+		f.Add(p, 0.12, 3, uint32(len(layouts[1])/2), byte(0x10), true)
 	}
-	f.Add([]byte("ab"), 0.5, 1, uint32(0), byte(0)) // pristine envelope
-	f.Add([]byte{0xFF, 0}, 0.9, 0, uint32(len(raw)-9), byte(0xFF))
+	f.Add([]byte("ab"), 0.5, 1, uint32(0), byte(0), false) // pristine envelopes
+	f.Add([]byte("ab"), 0.5, 1, uint32(0), byte(0), true)
+	f.Add([]byte{0xFF, 0}, 0.9, 0, uint32(len(layouts[0])-9), byte(0xFF), false)
 
-	f.Fuzz(func(t *testing.T, p []byte, tau float64, k int, at uint32, flip byte) {
+	f.Fuzz(func(t *testing.T, p []byte, tau float64, k int, at uint32, flip byte, legacy bool) {
+		raw := layouts[0]
+		if legacy {
+			raw = layouts[1]
+		}
 		data := append([]byte(nil), raw...)
 		// Flip a run of bytes, not one: a lone flip rarely lands where a
 		// short query reads.

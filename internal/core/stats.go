@@ -65,7 +65,8 @@ const (
 	// OPERATIONS.md's $/query table are derived from it.)
 	fmHopBytes = 12
 	// fmCandidateBytes: one located FM row — sampled-SA read (4) + two
-	// prefix sums (16) + Pos read (4).
+	// prefix sums (16) + the position map's block count and run delta
+	// (4, both usually cache-resident: a document's map is a few KB).
 	fmCandidateBytes = 24
 	// approxLinkBytes: one evaluated ε-index link — probability (4),
 	// position (4), depth interval (8), RMQ node (4).

@@ -30,8 +30,9 @@ import (
 var ErrByteFF = errors.New("fm: text contains reserved byte 0xFF")
 
 // DefaultSampleRate is the suffix array sampling interval: one stored
-// position per 32 suffixes, making Locate cost ≤ 32 LF steps.
-const DefaultSampleRate = 32
+// position per 4 text positions, so Locate walks ≤ 3 LF steps (1.5 on
+// average) at a cost of 8 sample bits + 1.125 marker bits per text position.
+const DefaultSampleRate = 4
 
 // Index is the FM-index of a text.
 type Index struct {
@@ -190,7 +191,10 @@ func (ix *Index) Locate(j int) int32 {
 func (ix *Index) LocateCount(j int) (int32, int) {
 	row := j + 1 // suffix array position → row
 	steps := 0
-	for !ix.sampled.Get(row) {
+	// One fused read per row: the sampled row's sample index comes with
+	// the bit that ends the walk.
+	idx, sampled := ix.sampled.Rank1Get(row)
+	for sampled == 0 {
 		row = ix.lf(row)
 		steps++
 		// A well-formed index reaches a sample within the sample rate;
@@ -199,8 +203,8 @@ func (ix *Index) LocateCount(j int) (int32, int) {
 		if steps > ix.n+1 {
 			return 0, steps
 		}
+		idx, sampled = ix.sampled.Rank1Get(row)
 	}
-	idx := ix.sampled.Rank1(row)
 	if idx >= len(ix.samples) {
 		return 0, steps
 	}

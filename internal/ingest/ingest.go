@@ -1157,15 +1157,15 @@ func (st *Store) Status() []CollectionStatus {
 		lc.mu.Lock()
 		v := lc.view.Load()
 		cs := CollectionStatus{
-			Name:        name,
-			Backend:     v.Backend(),
-			Epsilon:     v.Epsilon(),
-			Docs:        v.Docs(),
-			IndexBytes:  v.IndexBytes(),
-			DeltaDocs:   v.DeltaDocs(),
-			Tombstones:  v.Tombstones(),
-			Gen:         lc.gen,
-			Epoch:       lc.wal.epoch,
+			Name:         name,
+			Backend:      v.Backend(),
+			Epsilon:      v.Epsilon(),
+			Docs:         v.Docs(),
+			IndexBytes:   v.IndexBytes(),
+			DeltaDocs:    v.DeltaDocs(),
+			Tombstones:   v.Tombstones(),
+			Gen:          lc.gen,
+			Epoch:        lc.wal.epoch,
 			WALRecords:   lc.wal.records,
 			WALBytes:     lc.wal.bytes,
 			Compactions:  lc.compactions,

@@ -90,10 +90,10 @@ func IsEnvelope(b []byte) bool {
 
 // region is one parsed region-table entry.
 type region struct {
-	tag  uint32
-	crc  uint32
-	off  uint64
-	ln   uint64
+	tag uint32
+	crc uint32
+	off uint64
+	ln  uint64
 }
 
 // Envelope is an opened format-4 envelope: the raw bytes plus the parsed,

@@ -13,10 +13,10 @@ func buildSample(t *testing.T) []byte {
 	t.Helper()
 	var b Builder
 	b.AddU64s(0x10, []uint64{1, 2, 3, 0xdeadbeefcafef00d})
-	b.AddI32s(0x20, []int32{-1, 0, 7})      // odd byte count → padding
+	b.AddI32s(0x20, []int32{-1, 0, 7}) // odd byte count → padding
 	b.AddF64s(0x30, []float64{0.5, -2.25})
-	b.Add(0x40, []byte("hello"))            // unaligned length → padding
-	b.Add(0x50, nil)                        // empty region
+	b.Add(0x40, []byte("hello")) // unaligned length → padding
+	b.Add(0x50, nil)             // empty region
 	var buf bytes.Buffer
 	n, err := b.WriteTo(&buf)
 	if err != nil {

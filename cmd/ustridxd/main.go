@@ -61,9 +61,9 @@
 // replaced and deleted at runtime through PUT/DELETE
 // /v1/collections/{c}/documents/{id}, every mutation is WAL-logged under
 // the given directory before it is acknowledged, and a background compactor
-// folds accumulated deltas into the base shards. On restart the WAL (and
-// compaction checkpoints) are replayed, so acknowledged mutations survive
-// crashes; on graceful shutdown the logs are flushed and closed.
+// checkpoints the live documents and truncates the log. On restart the WAL
+// (and compaction checkpoints) are replayed, so acknowledged mutations
+// survive crashes; on graceful shutdown the logs are flushed and closed.
 //
 // With -follow, the daemon is a read replica of another ustridxd started
 // with -wal: it bootstraps every collection from the primary's snapshot

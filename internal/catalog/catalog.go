@@ -51,12 +51,6 @@ import (
 // and never serve results computed against a replaced collection.
 var collectionID atomic.Uint64
 
-// NextInstanceID draws a fresh id from the same process-unique sequence that
-// stamps collections. Serving layers that present their own mutable views
-// (internal/ingest) stamp each published snapshot from this sequence so one
-// result-cache id space covers static collections and live views alike.
-func NextInstanceID() uint64 { return collectionID.Add(1) }
-
 // Options configures catalog construction.
 type Options struct {
 	// TauMin is the construction threshold of every document index; queries
@@ -372,8 +366,9 @@ func (c *Catalog) assemble(name string, tauMin float64, longCap int, spec core.B
 // < 1 is treated as 1). Index i becomes document i; spec labels the
 // collection's configured backend (the zero spec means plain). Assembly
 // never rebuilds an index, so a collection re-assembled from the same
-// indexes answers queries identically — the property the ingest layer's
-// compaction relies on when folding delta documents into a new base.
+// indexes answers queries identically — the property the ingest layer
+// relies on when it publishes every snapshot of a live collection as one
+// collection over its live indexes, in document-id order.
 func FromIndexes(name string, tauMin float64, longCap, shards int, spec core.BackendSpec, ixs []core.Backend) *Collection {
 	if shards < 1 {
 		shards = 1

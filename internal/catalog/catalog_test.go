@@ -110,15 +110,11 @@ func TestQueryErrors(t *testing.T) {
 	col := testCatalog(t, testDocs(t, 300, 17), 2)
 	// One validation for every operation and every collection shape: the
 	// same malformed query is rejected the same way whether backends would
-	// run or not — a collection without documents, or with all of them
-	// masked, once answered (nil, nil) because only backends validated.
+	// run or not — a collection without documents once answered (nil, nil)
+	// because only backends validated.
 	empty, err := New(Options{TauMin: 0.1}).Add("empty", nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	allMasked := ExecOpts{Remap: make([]int, col.Docs())}
-	for i := range allMasked.Remap {
-		allMasked.Remap[i] = -1
 	}
 	for _, tc := range []struct {
 		q    core.Query
@@ -133,9 +129,8 @@ func TestQueryErrors(t *testing.T) {
 		{core.Query{Op: core.OpCount, Pattern: []byte("AC"), Tau: 0.01}, core.ErrTauBelowTauMin},
 	} {
 		for name, run := range map[string]func() (Result, error){
-			"populated":  func() (Result, error) { return col.Exec(tc.q, ExecOpts{}) },
-			"empty":      func() (Result, error) { return empty.Exec(tc.q, ExecOpts{}) },
-			"all masked": func() (Result, error) { return col.Exec(tc.q, allMasked) },
+			"populated": func() (Result, error) { return col.Exec(tc.q, ExecOpts{}) },
+			"empty":     func() (Result, error) { return empty.Exec(tc.q, ExecOpts{}) },
 		} {
 			if res, err := run(); !errors.Is(err, tc.want) || res.Hits != nil || res.Count != 0 {
 				t.Errorf("%s collection: Exec(%+v) = %v, %v; want %v", name, tc.q, res, err, tc.want)

@@ -232,11 +232,11 @@ func sameHits(got, want []DocHit) bool {
 }
 
 // TestExecEquivalence is the grid of the one query path: every operation ×
-// Remap nil / masking-and-renumbering × Trace and Cost nil / set, on an exact
-// and an approx collection over the same documents. Exec must agree with the
-// Search/TopK/Count wrappers and with the index-free oracle (the approx
-// collection by the ⊇ exact(τ), ⊆ exact(τ−ε) rule), must answer identically
-// with observation on and off, and must count the same cost on every run.
+// Trace and Cost nil / set, on an exact and an approx collection over the
+// same documents. Exec must agree with the Search/TopK/Count wrappers and
+// with the index-free oracle (the approx collection by the ⊇ exact(τ),
+// ⊆ exact(τ−ε) rule), must answer identically with observation on and off,
+// and must count the same cost on every run.
 func TestExecEquivalence(t *testing.T) {
 	docs := testDocs(t, 2500, 41)
 	const eps, tauMin = 0.05, 0.1
@@ -249,29 +249,16 @@ func TestExecEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The renumbering masks every third document and numbers the survivors
-	// in reverse, so a hit's document number and the merge order both change.
-	renumber := make([]int, len(docs))
-	var kept []*ustring.String
-	for d := len(docs) - 1; d >= 0; d-- {
-		renumber[d] = -1
-		if d%3 != 0 {
-			renumber[d] = len(kept)
-			kept = append(kept, docs[d])
-		}
-	}
-
 	// exec runs q under all four observation settings and twice with a cost,
 	// checks that answers and counters agree, and returns the answer.
-	exec := func(col *Collection, q core.Query, remap []int) Result {
+	exec := func(col *Collection, q core.Query) Result {
 		t.Helper()
-		want, err := col.Exec(q, ExecOpts{Remap: remap})
+		want, err := col.Exec(q, ExecOpts{})
 		if err != nil {
 			t.Fatalf("Exec(%+v): %v", q, err)
 		}
 		var costs [2]obs.Cost
 		for _, o := range []ExecOpts{{Trace: &obs.Trace{}}, {Cost: &costs[0]}, {Trace: &obs.Trace{}, Cost: &costs[1]}} {
-			o.Remap = remap
 			if got, err := col.Exec(q, o); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("Exec(%+v) observed = %v, %v; unobserved %v", q, got, err, want)
 			}
@@ -283,76 +270,67 @@ func TestExecEquivalence(t *testing.T) {
 	}
 
 	found := 0
-	for _, tc := range []struct {
-		live  []*ustring.String
-		remap []int
-	}{{docs, nil}, {kept, renumber}} {
-		for _, m := range []int{2, 3, 5, 8} {
-			for _, p := range gen.CollectionPatterns(docs, 6, m, 43) {
-				for _, tau := range []float64{0.1, 0.2, 0.4} {
-					search := core.Query{Op: core.OpSearch, Pattern: p, Tau: tau}
-					count := core.Query{Op: core.OpCount, Pattern: p, Tau: tau}
-					want := oracleHits(tc.live, p, tau)
-					got := exec(exact, search, tc.remap)
-					if !sameHits(got.Hits, want) || got.Count != len(want) {
-						t.Fatalf("Exec(%+v) = %v, oracle %v", search, got, want)
-					}
-					if n := exec(exact, count, tc.remap); n.Count != len(want) || n.Hits != nil {
-						t.Fatalf("Exec(%+v) = %v, oracle counts %d", count, n, len(want))
-					}
-					found += len(want)
-					if tc.remap == nil {
-						hits, _ := exact.Search(p, tau)
-						n, _ := exact.Count(p, tau)
-						if !reflect.DeepEqual(hits, got.Hits) || n != got.Count {
-							t.Fatalf("Search/Count(%q, %v) = %v, %d; Exec %v", p, tau, hits, n, got)
-						}
-					}
-					// The ε-index may report what the oracle finds above τ−ε
-					// (an occurrence at the cut up to rounding included) and
-					// must report everything above τ.
-					loose := hitSet(oracleHits(tc.live, p, tau-eps-1e-6))
-					ap := exec(approx, search, tc.remap)
-					apSet := hitSet(ap.Hits)
-					for _, h := range want {
-						if !apSet[[2]int{h.Doc, h.Pos}] {
-							t.Fatalf("approx Exec(%+v) missed %+v", search, h)
-						}
-					}
-					for _, h := range ap.Hits {
-						if !loose[[2]int{h.Doc, h.Pos}] {
-							t.Fatalf("approx Exec(%+v) reported %+v, below τ−ε", search, h)
-						}
-					}
-					if n := exec(approx, count, tc.remap); n.Count != len(ap.Hits) {
-						t.Fatalf("approx Exec(%+v) = %d, search found %d", count, n.Count, len(ap.Hits))
+	for _, m := range []int{2, 3, 5, 8} {
+		for _, p := range gen.CollectionPatterns(docs, 6, m, 43) {
+			for _, tau := range []float64{0.1, 0.2, 0.4} {
+				search := core.Query{Op: core.OpSearch, Pattern: p, Tau: tau}
+				count := core.Query{Op: core.OpCount, Pattern: p, Tau: tau}
+				want := oracleHits(docs, p, tau)
+				got := exec(exact, search)
+				if !sameHits(got.Hits, want) || got.Count != len(want) {
+					t.Fatalf("Exec(%+v) = %v, oracle %v", search, got, want)
+				}
+				if n := exec(exact, count); n.Count != len(want) || n.Hits != nil {
+					t.Fatalf("Exec(%+v) = %v, oracle counts %d", count, n, len(want))
+				}
+				found += len(want)
+				hits, _ := exact.Search(p, tau)
+				n, _ := exact.Count(p, tau)
+				if !reflect.DeepEqual(hits, got.Hits) || n != got.Count {
+					t.Fatalf("Search/Count(%q, %v) = %v, %d; Exec %v", p, tau, hits, n, got)
+				}
+				// The ε-index may report what the oracle finds above τ−ε
+				// (an occurrence at the cut up to rounding included) and
+				// must report everything above τ.
+				loose := hitSet(oracleHits(docs, p, tau-eps-1e-6))
+				ap := exec(approx, search)
+				apSet := hitSet(ap.Hits)
+				for _, h := range want {
+					if !apSet[[2]int{h.Doc, h.Pos}] {
+						t.Fatalf("approx Exec(%+v) missed %+v", search, h)
 					}
 				}
-				// Top-k against the oracle's ranking of everything above
-				// tauMin: the same probabilities in the same order (a tie may
-				// resolve to either position), each a true occurrence.
-				ranked := oracleHits(tc.live, p, tauMin)
-				truth := map[[2]int]float64{}
-				for _, h := range ranked {
-					truth[[2]int{h.Doc, h.Pos}] = h.Prob
+				for _, h := range ap.Hits {
+					if !loose[[2]int{h.Doc, h.Pos}] {
+						t.Fatalf("approx Exec(%+v) reported %+v, below τ−ε", search, h)
+					}
 				}
-				sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].Prob > ranked[b].Prob })
-				for _, k := range []int{1, 3, 10} {
-					topk := core.Query{Op: core.OpTopK, Pattern: p, K: k}
-					got := exec(exact, topk, tc.remap)
-					if len(got.Hits) < min(k, len(ranked)) || len(got.Hits) > k || got.Count != len(got.Hits) {
-						t.Fatalf("Exec(%+v) = %v, oracle ranks %d", topk, got, len(ranked))
+				if n := exec(approx, count); n.Count != len(ap.Hits) {
+					t.Fatalf("approx Exec(%+v) = %d, search found %d", count, n.Count, len(ap.Hits))
+				}
+			}
+			// Top-k against the oracle's ranking of everything above
+			// tauMin: the same probabilities in the same order (a tie may
+			// resolve to either position), each a true occurrence.
+			ranked := oracleHits(docs, p, tauMin)
+			truth := map[[2]int]float64{}
+			for _, h := range ranked {
+				truth[[2]int{h.Doc, h.Pos}] = h.Prob
+			}
+			sort.SliceStable(ranked, func(a, b int) bool { return ranked[a].Prob > ranked[b].Prob })
+			for _, k := range []int{1, 3, 10} {
+				topk := core.Query{Op: core.OpTopK, Pattern: p, K: k}
+				got := exec(exact, topk)
+				if len(got.Hits) < min(k, len(ranked)) || len(got.Hits) > k || got.Count != len(got.Hits) {
+					t.Fatalf("Exec(%+v) = %v, oracle ranks %d", topk, got, len(ranked))
+				}
+				for i, h := range got.Hits[:min(k, len(ranked))] {
+					if pr, ok := truth[[2]int{h.Doc, h.Pos}]; !ok || math.Abs(pr-h.Prob) > 1e-9 || math.Abs(ranked[i].Prob-h.Prob) > 1e-9 {
+						t.Fatalf("Exec(%+v)[%d] = %+v, oracle ranks %+v there", topk, i, h, ranked[i])
 					}
-					for i, h := range got.Hits[:min(k, len(ranked))] {
-						if pr, ok := truth[[2]int{h.Doc, h.Pos}]; !ok || math.Abs(pr-h.Prob) > 1e-9 || math.Abs(ranked[i].Prob-h.Prob) > 1e-9 {
-							t.Fatalf("Exec(%+v)[%d] = %+v, oracle ranks %+v there", topk, i, h, ranked[i])
-						}
-					}
-					if tc.remap == nil {
-						if hits, _ := exact.TopK(p, k); !reflect.DeepEqual(hits, got.Hits) {
-							t.Fatalf("TopK(%q, %d) = %v, Exec %v", p, k, hits, got.Hits)
-						}
-					}
+				}
+				if hits, _ := exact.TopK(p, k); !reflect.DeepEqual(hits, got.Hits) {
+					t.Fatalf("TopK(%q, %d) = %v, Exec %v", p, k, hits, got.Hits)
 				}
 			}
 		}

@@ -24,7 +24,7 @@ type shardResult struct {
 }
 
 // ExecOpts are the per-request extras of Exec; the zero value runs the query
-// unobserved over every document.
+// unobserved.
 type ExecOpts struct {
 	// Trace, when non-nil, receives the per-stage timings: "fanout" (wall
 	// time of the scatter/join), "backend_search" (summed per-shard search
@@ -33,14 +33,6 @@ type ExecOpts struct {
 	// Cost, when non-nil, receives the resource counters: shards touched,
 	// backend work, merge comparisons.
 	Cost *obs.Cost
-	// Remap, when non-nil, renumbers the documents reported in hits: document
-	// d appears as Remap[d], and a document with Remap[d] < 0 is masked — never
-	// searched, never counted. The mutable serving layer (internal/ingest)
-	// uses it to hide tombstoned documents and number the survivors into a
-	// merged base+delta view. Masking happens per document, before any merge,
-	// so the results are exactly those of a collection that never contained
-	// the masked documents — top-k included.
-	Remap []int
 }
 
 // Result is the answer of one Exec: the hits of a search or top-k query in
@@ -55,7 +47,7 @@ type Result struct {
 // the collection's construction threshold — core.ErrEmptyPattern,
 // core.ErrBadPattern, core.ErrTauOutOfRange or core.ErrTauBelowTauMin,
 // whatever the operation and however many documents the collection holds —
-// then runs q against every unmasked document, one goroutine per shard, and
+// then runs q against every document, one goroutine per shard, and
 // merges per operation: search hits ordered by (document, position), the k
 // globally most probable hits in decreasing probability order (ties by
 // document, then position), or the summed count. Every per-document index
@@ -86,12 +78,12 @@ func (col *Collection) Exec(q core.Query, o ExecOpts) (Result, error) {
 		for i, r := range results {
 			lists[i] = r.hits
 		}
-		merged = MergeTopK(o.Cost, q.K, lists...)
+		merged = mergeTopK(o.Cost, q.K, lists...)
 	} else {
 		for _, r := range results {
 			merged = append(merged, r.hits...)
 		}
-		SortHits(o.Cost, merged)
+		sortHits(o.Cost, merged)
 	}
 	stop()
 	return Result{Hits: merged, Count: len(merged)}, nil
@@ -141,11 +133,11 @@ func (col *Collection) fanOut(q core.Query, o ExecOpts) ([]shardResult, error) {
 		defer wg.Done()
 		if tr != nil {
 			t0 := time.Now()
-			runShard(q, o.Remap, c != nil, col.shards[s], &results[s])
+			runShard(q, c != nil, col.shards[s], &results[s])
 			results[s].dur = time.Since(t0)
 			return
 		}
-		runShard(q, o.Remap, c != nil, col.shards[s], &results[s])
+		runShard(q, c != nil, col.shards[s], &results[s])
 	}
 	touched := int64(0)
 	for s := range col.shards {
@@ -182,21 +174,15 @@ func (col *Collection) fanOut(q core.Query, o ExecOpts) ([]shardResult, error) {
 	return results, nil
 }
 
-// runShard executes q against each unmasked document of one shard,
-// accumulating hits (numbered through remap), the count and — when costed —
-// the backend stats into out. It stops at the first backend error.
-func runShard(q core.Query, remap []int, costed bool, shard []docIndex, out *shardResult) {
+// runShard executes q against each document of one shard, accumulating
+// hits, the count and — when costed — the backend stats into out. It stops
+// at the first backend error.
+func runShard(q core.Query, costed bool, shard []docIndex, out *shardResult) {
 	var st *core.QueryStats
 	if costed {
 		st = &out.stats
 	}
 	for _, di := range shard {
-		doc := di.doc
-		if remap != nil {
-			if doc = remap[doc]; doc < 0 {
-				continue
-			}
-		}
 		hits, n, err := q.Run(di.ix, st)
 		if err != nil {
 			out.err = err
@@ -204,15 +190,15 @@ func runShard(q core.Query, remap []int, costed bool, shard []docIndex, out *sha
 		}
 		out.count += n
 		for _, h := range hits {
-			out.hits = append(out.hits, DocHit{Doc: doc, Pos: int(h.Orig), Prob: h.Prob()})
+			out.hits = append(out.hits, DocHit{Doc: di.doc, Pos: int(h.Orig), Prob: h.Prob()})
 		}
 	}
 }
 
-// SortHits orders hits by (document, position) — the canonical search result
+// sortHits orders hits by (document, position) — the canonical search result
 // order — counting the comparisons into c; a nil c takes the raw path with no
 // per-comparison counting.
-func SortHits(c *obs.Cost, hits []DocHit) {
+func sortHits(c *obs.Cost, hits []DocHit) {
 	less := func(a, b int) bool {
 		if hits[a].Doc != hits[b].Doc {
 			return hits[a].Doc < hits[b].Doc
@@ -244,7 +230,7 @@ func hitLess(a, b DocHit) bool {
 
 // topKHeap is a bounded min-heap keeping the k best hits seen so far; the
 // root is the currently weakest kept hit. comps counts hitLess evaluations
-// for cost attribution (read by MergeTopK after the fold).
+// for cost attribution (read by mergeTopK after the fold).
 type topKHeap struct {
 	hits  []DocHit
 	comps int64
@@ -262,13 +248,12 @@ func (h *topKHeap) Pop() any {
 	return x
 }
 
-// MergeTopK folds candidate hit lists into the k globally best hits in
+// mergeTopK folds candidate hit lists into the k globally best hits in
 // decreasing probability order (ties by document, then position), through a
 // bounded min-heap, counting heap comparisons into c (nil records nothing).
 // Each list must already contain the true per-document top-k of every
-// document it covers — then the merge is exact. The mutable serving layer
-// reuses it to combine base and delta candidates.
-func MergeTopK(c *obs.Cost, k int, lists ...[]DocHit) []DocHit {
+// document it covers — then the merge is exact.
+func mergeTopK(c *obs.Cost, k int, lists ...[]DocHit) []DocHit {
 	if k <= 0 {
 		return nil
 	}

@@ -2,16 +2,14 @@
 // over internal/catalog that accepts document Put and Delete at runtime
 // while queries keep flowing.
 //
-// Each collection is split into an immutable sharded base (assembled at
-// startup or at the last compaction) and a small delta of documents put
-// since, with deletes recorded as tombstones masking base documents out of
-// every query. Mutations are made durable first — appended to a
-// per-collection write-ahead log and fsynced before they are acknowledged —
-// then indexed (each document whole, by its own core.Backend in the
-// collection's configured representation — plain or compressed) and
-// published by swapping in a fresh generation-stamped View. Queries enter
-// through View.Exec — a core.Query run against the base and the delta, each
-// masked and renumbered by its own table, merged once — and run entirely
+// Each collection is a set of live documents, each indexed whole — by its
+// own core.Backend in the collection's configured representation (plain,
+// compressed or approx) — at Put time. Mutations are made durable first —
+// appended to a per-collection write-ahead log and fsynced before they are
+// acknowledged — then published by swapping in a fresh generation-stamped
+// View: a catalog.Collection assembled over every live index in document-id
+// order, the shape a static catalog over the same documents has. Queries
+// enter through the View's Exec — one fan-out, one merge — and run entirely
 // against the View they started with, so they observe a consistent
 // collection state and never block on writers or compaction.
 //
@@ -22,22 +20,22 @@
 // a restart rebuilds replayed documents into the same representation with
 // the same parameters. Exact backends change memory footprint and query
 // latency only and answer bit-identically; an approx collection answers
-// every query under its fixed additive error ε — the base+delta overlay
-// needs no special casing because each document is served by exactly one
-// ε-index, so the per-document guarantee (no miss above τ, nothing at or
-// below τ−ε) survives the merge unchanged. Top-k is the one operation an
-// approx collection cannot answer; it is rejected with the typed
-// core.ErrUnsupportedQuery at dispatch.
+// every query under its fixed additive error ε — each document is served by
+// exactly one ε-index, so the per-document guarantee (no miss above τ,
+// nothing at or below τ−ε) survives any mutation history unchanged. Top-k
+// is the one operation an approx collection cannot answer; it is rejected
+// with the typed core.ErrUnsupportedQuery at dispatch.
 //
-// A background compactor folds the delta into a new base once the number of
-// pending documents (delta plus tombstones) crosses a threshold: it writes
-// the full live document set to an atomic checkpoint, truncates the WAL,
-// and re-assembles the base from the already-built indexes — no index is
-// ever rebuilt, so compaction cannot change any query answer. On restart,
-// Open replays checkpoint + WAL; because replay re-applies the exact logged
-// operation sequence, a WAL that still contains records already captured by
-// the checkpoint (the crash-between-rename-and-truncate window) converges
-// to the same state.
+// A background compactor folds the collection once the number of pending
+// documents — put or replaced (delta) plus deleted or replaced (tombstones)
+// since the last fold — crosses a threshold: it writes the full live
+// document set to an atomic checkpoint and truncates the WAL. No index is
+// ever rebuilt and the published View does not change shape, so compaction
+// cannot change any query answer; it bounds WAL length and replay time. On
+// restart, Open replays checkpoint + WAL; because replay re-applies the
+// exact logged operation sequence, a WAL that still contains records
+// already captured by the checkpoint (the crash-between-rename-and-truncate
+// window) converges to the same state.
 //
 // Document numbering follows the lexicographic order of external document
 // ids, so a collection reached through any mutation history answers
@@ -48,6 +46,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -220,9 +219,7 @@ type liveColl struct {
 	mu          sync.Mutex
 	wal         *wal
 	live        map[string]core.Backend // every live document, id → index
-	base        *catalog.Collection     // assembled at the last compaction
-	baseIDs     []string                // base document number → id
-	baseIx      []core.Backend          // base document number → index then
+	folded      map[string]core.Backend // the live set at the last fold (compaction or Open)
 	gen         uint64
 	compactions int64
 	// remapped counts the documents this run's Open served straight from
@@ -496,10 +493,10 @@ func (st *Store) openColl(name string, cat *catalog.Catalog, backendReq *core.Ba
 		w.close()
 		return nil, fmt.Errorf("ingest: collection %q: %w", name, err)
 	}
-	// Fold everything into the base so the store starts with an empty
-	// delta; durability is untouched (the WAL keeps its records until the
-	// next checkpoint).
-	lc.rebaseLocked()
+	// Count everything as folded so the store starts with no pending work;
+	// durability is untouched (the WAL keeps its records until the next
+	// checkpoint).
+	lc.foldLocked()
 	lc.publishLocked()
 	return lc, nil
 }
@@ -567,71 +564,35 @@ func (lc *liveColl) sortedLiveLocked() ([]string, []core.Backend) {
 	return ids, ixs
 }
 
-// rebaseLocked re-assembles the base from the entire live set, emptying the
-// delta. Indexes are reused as-is — never rebuilt — so the base stays in
-// the collection's configured backend (every live index was built with it).
-func (lc *liveColl) rebaseLocked() {
-	copts := lc.store.opts.Catalog
-	ids, ixs := lc.sortedLiveLocked()
-	lc.base = catalog.FromIndexes(lc.name, copts.TauMin, copts.LongCap, copts.Shards, lc.spec, ixs)
-	lc.baseIDs, lc.baseIx = ids, ixs
+// foldLocked records the current live set as folded, zeroing the pending
+// work (delta documents and tombstones) the compactor's threshold counts.
+func (lc *liveColl) foldLocked() {
+	lc.folded = maps.Clone(lc.live)
 }
 
-// publishLocked assembles and swaps in a fresh View of the current state.
+// publishLocked assembles and swaps in a fresh View of the current state: a
+// collection over every live index in id order. Indexes are reused as-is —
+// never rebuilt — so the view stays in the collection's configured backend
+// (every live index was built with it).
 func (lc *liveColl) publishLocked() {
 	copts := lc.store.opts.Catalog
 	ids, ixs := lc.sortedLiveLocked()
-	global := make(map[string]int, len(ids))
-	for i, id := range ids {
-		global[id] = i
-	}
-	baseMap := make([]int, len(lc.baseIDs))
-	served := make(map[string]bool, len(lc.baseIDs))
+	// A folded document no longer live under the same index is a tombstone;
+	// every live document not folded under its current index is a delta
+	// document. A replaced document is therefore one of each.
 	tombstones := 0
-	for i, id := range lc.baseIDs {
-		if ix, ok := lc.live[id]; ok && ix == lc.baseIx[i] {
-			baseMap[i] = global[id]
-			served[id] = true
-		} else {
-			baseMap[i] = -1
+	for id, ix := range lc.folded {
+		if lc.live[id] != ix {
 			tombstones++
 		}
 	}
-	var deltaIx []core.Backend
-	var deltaMap []int
-	positions := 0
-	indexBytes := 0
-	for gi, id := range ids {
-		// SourceLen, not Source().Len(): re-mapped indexes materialise their
-		// source lazily and publishing a view must not force them resident.
-		positions += core.SourceLen(ixs[gi])
-		indexBytes += ixs[gi].Bytes()
-		if !served[id] {
-			deltaIx = append(deltaIx, ixs[gi])
-			deltaMap = append(deltaMap, gi)
-		}
-	}
-	v := &View{
-		id:         catalog.NextInstanceID(),
+	lc.view.Store(&View{
+		Collection: catalog.FromIndexes(lc.name, copts.TauMin, copts.LongCap, copts.Shards, lc.spec, ixs),
 		gen:        lc.gen,
-		name:       lc.name,
-		tauMin:     copts.TauMin,
-		spec:       lc.spec,
-		docs:       len(ids),
-		positions:  positions,
-		indexBytes: indexBytes,
 		ids:        ids,
+		deltaDocs:  len(ids) - (len(lc.folded) - tombstones),
 		tombstones: tombstones,
-	}
-	if lc.base != nil && lc.base.Docs() > 0 {
-		v.base = lc.base
-		v.baseMap = baseMap
-	}
-	if len(deltaIx) > 0 {
-		v.delta = catalog.FromIndexes(lc.name, copts.TauMin, copts.LongCap, copts.Shards, lc.spec, deltaIx)
-		v.deltaMap = deltaMap
-	}
-	lc.view.Store(v)
+	})
 }
 
 // coll returns the named collection, creating it (with a fresh WAL, using
@@ -870,8 +831,9 @@ func (st *Store) compactor() {
 // was being written.
 var errCompactRaced = errors.New("ingest: compaction raced a writer")
 
-// Compact folds the named collection's delta and tombstones into a fresh
-// base. It reports false when there was nothing to fold. The fold is
+// Compact folds the named collection: it checkpoints the live document set,
+// truncates the WAL and zeroes the pending delta documents and tombstones.
+// It reports false when there was nothing to fold. The fold is
 // optimistic: the checkpoint is written outside the writer lock, and
 // retried if a mutation lands meanwhile — queries are never blocked, and
 // writers only for the final pointer swap.
@@ -922,8 +884,8 @@ func (st *Store) CompactAll() (int, error) {
 func (st *Store) compactOnce(lc *liveColl) (bool, error) {
 	lc.mu.Lock()
 	v := lc.view.Load()
-	// A freshly opened store folds replayed records into the in-memory base,
-	// so the delta can be empty while the WAL still holds records; compacting
+	// A freshly opened store counts replayed records as folded, so the
+	// pending work can be zero while the WAL still holds records; compacting
 	// then means checkpointing and truncating so the log cannot grow across
 	// restarts. With both empty there is truly nothing to do.
 	if v.DeltaDocs()+v.Tombstones() == 0 && lc.wal.records == 0 {
@@ -992,10 +954,10 @@ func (st *Store) compactOnce(lc *liveColl) (bool, error) {
 		// swapping state.
 		return false, err
 	}
-	lc.rebaseLocked()
+	lc.foldLocked()
 	lc.compactions++
 	lc.publishLocked()
-	st.opts.Logf("ingest: %s: compacted %d documents into base (gen %d)", lc.name, len(ids), lc.gen)
+	st.opts.Logf("ingest: %s: compacted %d documents (gen %d)", lc.name, len(ids), lc.gen)
 	return true, nil
 }
 
@@ -1125,15 +1087,11 @@ func (st *Store) Stats() []catalog.Info {
 		if !ok {
 			continue
 		}
-		shards := v.Shards()
-		if shards == 0 {
-			shards = st.opts.Catalog.Shards
-		}
 		infos = append(infos, catalog.Info{
 			Name:       name,
 			Docs:       v.Docs(),
 			Positions:  v.Positions(),
-			Shards:     shards,
+			Shards:     v.Shards(),
 			TauMin:     v.TauMin(),
 			LongCap:    st.opts.Catalog.LongCap,
 			Backend:    v.Backend(),

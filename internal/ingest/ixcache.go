@@ -117,7 +117,8 @@ func (st *Store) openIndexCache(lc *liveColl, ck *checkpoint, pending map[string
 	mf.Close()
 	if err != nil || m.Format != ixCacheFormat ||
 		m.Nonce == 0 || m.Nonce != ck.Nonce ||
-		m.TauMin != st.opts.Catalog.TauMin || m.LongCap != st.opts.Catalog.LongCap ||
+		m.TauMin != st.opts.Catalog.TauMin ||
+		effectiveLongCap(m.LongCap) != effectiveLongCap(st.opts.Catalog.LongCap) ||
 		m.Docs != len(ck.IDs) {
 		st.opts.Logf("ingest: %s: index cache does not match the checkpoint; rebuilding", lc.name)
 		return 0

@@ -14,7 +14,9 @@ import (
 // index cache next to the checkpoint, and the next Open re-maps the
 // compacted documents (mmap'd, no rebuild) while rebuilding only what the
 // WAL mutated afterwards — answering bit-identically to a static catalog
-// over the same final document set.
+// over the same final document set. The cache also survives a restart that
+// spells the long-pattern cap differently: 0 (the default) and
+// core.DefaultLongCap build identical indexes.
 func TestIndexCacheRemap(t *testing.T) {
 	docs := testDocs(t, 2500, 53)
 	dir := t.TempDir()
@@ -57,27 +59,34 @@ func TestIndexCacheRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := Open(nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	var status CollectionStatus
-	for _, cs := range st2.Status() {
-		if cs.Name == "coll" {
-			status = cs
+	for _, longCap := range []int{0, core.DefaultLongCap} {
+		opts.Catalog.LongCap = longCap
+		st2, err := Open(nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var status CollectionStatus
+		for _, cs := range st2.Status() {
+			if cs.Name == "coll" {
+				status = cs
+			}
+		}
+		// Every checkpointed document re-maps; replay then displaces the
+		// replaced and deleted ones.
+		if status.RemappedDocs != compacted {
+			st2.Close()
+			t.Fatalf("longcap %d: RemappedDocs = %d, want %d", longCap, status.RemappedDocs, compacted)
+		}
+		v, ok := st2.Get("coll")
+		if !ok {
+			st2.Close()
+			t.Fatal("collection missing after restart")
+		}
+		assertEquivalent(t, v, byID)
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Every checkpointed document re-maps; replay then displaces the
-	// replaced and deleted ones.
-	if status.RemappedDocs != compacted {
-		t.Fatalf("RemappedDocs = %d, want %d", status.RemappedDocs, compacted)
-	}
-	v, ok := st2.Get("coll")
-	if !ok {
-		t.Fatal("collection missing after restart")
-	}
-	assertEquivalent(t, v, byID)
 }
 
 // TestIndexCacheFallback proves the cache is strictly optional: with its

@@ -50,8 +50,8 @@ func (st *Store) registerStatusGauges(r *obs.Registry) {
 	}
 	walBytes := r.GaugeVec("ustridx_wal_bytes", "Current WAL size in bytes.", "collection")
 	walRecords := r.GaugeVec("ustridx_wal_records", "Records in the current WAL.", "collection")
-	deltaDocs := r.GaugeVec("ustridx_delta_docs", "Documents served from the delta part.", "collection")
-	tombstones := r.GaugeVec("ustridx_tombstones", "Base documents masked out pending compaction.", "collection")
+	deltaDocs := r.GaugeVec("ustridx_delta_docs", "Live documents put or replaced since the last compaction.", "collection")
+	tombstones := r.GaugeVec("ustridx_tombstones", "Documents of the last compaction deleted or replaced since.", "collection")
 	epoch := r.GaugeVec("ustridx_wal_epoch", "Durable WAL epoch (bumped at truncation).", "collection")
 	docs := r.GaugeVec("ustridx_docs", "Live documents.", "collection")
 	indexBytes := r.GaugeVec("ustridx_index_bytes", "Resident index footprint in bytes.", "collection")

@@ -6,8 +6,8 @@ import (
 )
 
 // Stage is one timed step of a traced request, as exposed in the slow-query
-// log. Durations accumulate: a view that fans out over a base and a delta
-// part reports one "fanout" stage covering both.
+// log. Durations accumulate: a stage recorded more than once reports one
+// stage covering every recording.
 type Stage struct {
 	Name       string  `json:"name"`
 	DurationUs float64 `json:"duration_us"`

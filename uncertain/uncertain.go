@@ -52,10 +52,11 @@
 // IngestStore (OpenIngest) adds a write path on top of a catalog: Put and
 // Delete mutate collections at runtime, every mutation is appended to a
 // write-ahead log before it is acknowledged, queries run against immutable
-// generation-stamped snapshots (LiveView) merging the compacted base with a
-// delta of recent writes, and a background compactor folds the delta back
-// into the base. A collection reached through any mutation history answers
-// queries bit-identically to a statically built catalog over the same final
+// generation-stamped snapshots (LiveView) — each one Collection over the
+// live documents, assembled from their already-built indexes — and a
+// background compactor checkpoints the live set and truncates the log. A
+// collection reached through any mutation history answers queries
+// bit-identically to a statically built catalog over the same final
 // document set.
 //
 // # Replication
@@ -337,15 +338,17 @@ func LoadCatalog(dir string, opts CatalogOptions) (*Catalog, error) {
 }
 
 // IngestStore is the mutable serving layer: WAL-backed document Put/Delete
-// over a catalog, with delta indexes, tombstones and background compaction.
+// over a catalog, with background compaction.
 type IngestStore = ingest.Store
 
 // IngestOptions configures an IngestStore (WAL directory, construction
 // options, compaction threshold, durability).
 type IngestOptions = ingest.Options
 
-// LiveView is one immutable snapshot of a mutable collection; all query
-// methods are safe for concurrent use and never block on writers.
+// LiveView is one immutable snapshot of a mutable collection: it embeds the
+// Collection over its live documents, so Exec, Search/TopK/Count and
+// Estimate are that collection's own. All query methods are safe for
+// concurrent use and never block on writers.
 type LiveView = ingest.View
 
 // PutResult reports where an acknowledged Put landed.

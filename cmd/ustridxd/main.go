@@ -61,8 +61,9 @@
 // replaced and deleted at runtime through PUT/DELETE
 // /v1/collections/{c}/documents/{id}, every mutation is WAL-logged under
 // the given directory before it is acknowledged, and a background compactor
-// checkpoints the live documents and truncates the log. On restart the WAL
-// (and compaction checkpoints) are replayed, so acknowledged mutations
+// folds the live documents into per-document index files named by one
+// manifest per collection and truncates the log. On restart the manifest's
+// index files are re-opened and the WAL replayed, so acknowledged mutations
 // survive crashes; on graceful shutdown the logs are flushed and closed.
 //
 // With -follow, the daemon is a read replica of another ustridxd started

@@ -3,8 +3,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -17,7 +15,8 @@ import (
 // mutable lifecycle — creation by PutWithSpec, puts over replayed documents
 // (delta), a delete (tombstone), compaction, restart — and
 // checks the containment grid against a static plain catalog over the same
-// final document set at every stage, plus the ε sidecar round-trip.
+// final document set at every stage, plus the ε round-trip through the
+// manifest.
 func TestIngestApproxCollection(t *testing.T) {
 	docs := gen.Collection(gen.Config{N: 1800, Theta: 0.3, Seed: 269})
 	if len(docs) < 8 {
@@ -53,13 +52,13 @@ func TestIngestApproxCollection(t *testing.T) {
 		t.Fatalf("view spec = %s", v.Spec())
 	}
 
-	// The sidecar records kind and ε in the durable encoded form.
-	raw, err := os.ReadFile(st.backendPath("appr"))
-	if err != nil {
-		t.Fatal(err)
+	// The manifest records kind and ε in the durable encoded form.
+	m, recorded, err := readManifest(st.manifestPath("appr"))
+	if err != nil || m == nil {
+		t.Fatalf("readManifest = %v, %v", m, err)
 	}
-	if got := strings.TrimSpace(string(raw)); got != spec.Encode() {
-		t.Fatalf("sidecar holds %q, want %q", got, spec.Encode())
+	if m.Spec != spec.Encode() || recorded != spec {
+		t.Fatalf("manifest holds %q, want %q", m.Spec, spec.Encode())
 	}
 
 	// Spec conflicts are the typed mismatch error: different kind and
@@ -164,8 +163,8 @@ func TestIngestApproxCollection(t *testing.T) {
 	}
 	containment("compacted")
 
-	// Restart: the sidecar restores the spec, WAL/checkpoint replay rebuilds
-	// the same ε-indexes.
+	// Restart: the manifest restores the spec and its index files and WAL
+	// replay restore the same ε-indexes.
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -14,7 +15,7 @@ import (
 
 // TestBackendSurvivesRestart: a collection created with an explicit backend
 // must come back in that backend after a restart — WAL replay reads the
-// sidecar and rebuilds replayed documents into the recorded representation,
+// manifest and rebuilds replayed documents into the recorded representation,
 // even though the store's default differs — and answer queries identically.
 func TestBackendSurvivesRestart(t *testing.T) {
 	docs := gen.Collection(gen.Config{N: 1500, Theta: 0.3, Seed: 163})
@@ -94,28 +95,32 @@ func TestBackendSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestEmptyBackendSidecarFailsLoudly: a zero-length sidecar (the signature
-// of a torn write) must abort Open instead of silently rebuilding the
-// collection into the default representation.
-func TestEmptyBackendSidecarFailsLoudly(t *testing.T) {
+// TestBadManifestFailsLoudly: an empty manifest (the signature of a torn
+// write) or a garbled one must abort Open instead of silently rebuilding the
+// collection into the default representation or starting it empty.
+func TestBadManifestFailsLoudly(t *testing.T) {
 	docs := gen.Collection(gen.Config{N: 400, Theta: 0.3, Seed: 199})
-	dir := t.TempDir()
-	opts := Options{Dir: dir, Catalog: catalog.Options{TauMin: 0.1}, CompactThreshold: -1, Logf: t.Logf}
-	st, err := Open(nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.PutWithBackend("c", "a", docs[0], core.BackendCompressed); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "c.backend"), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(nil, opts); err == nil {
-		t.Fatal("Open accepted an empty backend sidecar")
+	for _, bad := range []string{"", "not json", `{"spec":"compressed","tau_min":0.1}trailing`,
+		`{"spec":"nope","tau_min":0.1}`, `{"spec":"plain","tau_min":0.1,"next":1,"docs":[{"id":"b","file":0},{"id":"a","file":1}]}`} {
+		dir := t.TempDir()
+		opts := Options{Dir: dir, Catalog: catalog.Options{TauMin: 0.1}, CompactThreshold: -1, Logf: t.Logf}
+		st, err := Open(nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.PutWithBackend("c", "a", docs[0], core.BackendCompressed); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "c.manifest")
+		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(nil, opts); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("Open over the manifest %q: err = %v, want an error naming %s", bad, err, path)
+		}
 	}
 }
 

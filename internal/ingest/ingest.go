@@ -16,9 +16,9 @@
 // A collection's index backend spec — the kind and, for the approximate
 // ε-index, its error bound — is fixed when the collection is created
 // (PutWithSpec/PutWithBackend, the seed catalog's choice, or the store
-// default) and recorded in a sidecar file next to the WAL, so replay after
-// a restart rebuilds replayed documents into the same representation with
-// the same parameters. Exact backends change memory footprint and query
+// default) and recorded in the collection's manifest, so replay after a
+// restart rebuilds replayed documents into the same representation with the
+// same parameters. Exact backends change memory footprint and query
 // latency only and answer bit-identically; an approx collection answers
 // every query under its fixed additive error ε — each document is served by
 // exactly one ε-index, so the per-document guarantee (no miss above τ,
@@ -28,13 +28,14 @@
 //
 // A background compactor folds the collection once the number of pending
 // documents — put or replaced (delta) plus deleted or replaced (tombstones)
-// since the last fold — crosses a threshold: it writes the full live
-// document set to an atomic checkpoint and truncates the WAL. No index is
-// ever rebuilt and the published View does not change shape, so compaction
-// cannot change any query answer; it bounds WAL length and replay time. On
-// restart, Open replays checkpoint + WAL; because replay re-applies the
-// exact logged operation sequence, a WAL that still contains records
-// already captured by the checkpoint (the crash-between-rename-and-truncate
+// since the last fold — crosses a threshold: it writes an index file for
+// every live document that has none, commits a manifest naming the live set
+// (see manifest.go) and truncates the WAL. No index is ever rebuilt and the
+// published View does not change shape, so compaction cannot change any
+// query answer; it bounds WAL length and replay time. On restart, Open
+// re-opens the manifest's index files and replays the WAL; because replay
+// re-applies the exact logged operation sequence, a WAL that still contains
+// records the manifest already covers (the crash-between-rename-and-truncate
 // window) converges to the same state.
 //
 // Document numbering follows the lexicographic order of external document
@@ -49,7 +50,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,8 +100,8 @@ const seedIDFormat = "doc-%06d"
 
 // Options configures a store.
 type Options struct {
-	// Dir is the directory holding per-collection WALs and checkpoints
-	// (required).
+	// Dir is the directory holding per-collection WALs, manifests and index
+	// files (required).
 	Dir string
 	// Catalog supplies the index construction options (threshold, shard
 	// count, build worker pool) for delta documents and replayed logs. It
@@ -166,7 +167,7 @@ type CollectionStatus struct {
 	WALBytes    int64   `json:"wal_bytes"`
 	Compactions int64   `json:"compactions"`
 	// RemappedDocs counts the documents the last Open served straight from
-	// the compaction-written index cache (mmap'd under Catalog.MMap)
+	// their index files under <name>.ix/ (mmap'd under Catalog.MMap)
 	// instead of rebuilding — the observable form of the O(1) restart.
 	RemappedDocs int `json:"remapped_docs,omitempty"`
 }
@@ -212,24 +213,27 @@ type Store struct {
 type liveColl struct {
 	store *Store
 	name  string
-	spec  core.BackendSpec // index backend, fixed at creation (see the sidecar)
+	spec  core.BackendSpec // index backend, fixed at creation (see the manifest)
 
 	compactMu sync.Mutex // at most one compaction in flight
+	// files maps each index with a file under <name>.ix/, committed or not,
+	// to its number; next is the next unused number. compactMu guards both.
+	files map[core.Backend]uint64
+	next  uint64
 
 	mu          sync.Mutex
+	man         manifest // the committed manifest, epoch included
 	wal         *wal
 	live        map[string]core.Backend // every live document, id → index
 	folded      map[string]core.Backend // the live set at the last fold (compaction or Open)
 	gen         uint64
 	compactions int64
-	// remapped counts the documents this run's Open served straight from
-	// the compaction-written index cache instead of rebuilding.
-	remapped int
-	view     atomic.Pointer[View]
+	remapped    int // documents this run's Open served from their index files
+	view        atomic.Pointer[View]
 }
 
 // Open builds a store over the WAL directory, seeding collections from cat
-// (which may be nil) and replaying each collection's checkpoint and WAL.
+// (which may be nil) and restoring each collection's manifest and WAL.
 // Collections present only on disk — created by Puts in a previous run —
 // are restored too. After Open returns, every previously acknowledged
 // mutation is visible.
@@ -266,8 +270,8 @@ func Open(cat *catalog.Catalog, opts Options) (*Store, error) {
 		switch {
 		case strings.HasSuffix(e.Name(), ".wal"):
 			names[strings.TrimSuffix(e.Name(), ".wal")] = true
-		case strings.HasSuffix(e.Name(), ".ckpt"):
-			names[strings.TrimSuffix(e.Name(), ".ckpt")] = true
+		case strings.HasSuffix(e.Name(), ".manifest"):
+			names[strings.TrimSuffix(e.Name(), ".manifest")] = true
 		}
 	}
 	for name := range names {
@@ -285,79 +289,7 @@ func Open(cat *catalog.Catalog, opts Options) (*Store, error) {
 	return st, nil
 }
 
-func (st *Store) walPath(name string) string  { return filepath.Join(st.opts.Dir, name+".wal") }
-func (st *Store) ckptPath(name string) string { return filepath.Join(st.opts.Dir, name+".ckpt") }
-
-// backendPath is the sidecar recording a collection's index backend spec
-// (kind plus, for the approx backend, its ε), so WAL replay rebuilds
-// replayed documents into the representation — and the parameters — the
-// collection was created with rather than whatever the process default
-// happens to be.
-func (st *Store) backendPath(name string) string {
-	return filepath.Join(st.opts.Dir, name+".backend")
-}
-
-// readBackendSidecar returns the recorded backend spec, or ok=false when
-// the collection has none recorded. A present-but-invalid sidecar —
-// including an empty file, the signature of a crash mid-write — is a loud
-// error: silently falling back could rebuild a collection into the wrong
-// representation (or the wrong ε).
-func readBackendSidecar(path string) (spec core.BackendSpec, ok bool, err error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return core.BackendSpec{}, false, nil
-	}
-	if err != nil {
-		return core.BackendSpec{}, false, fmt.Errorf("ingest: %w", err)
-	}
-	line := strings.TrimSpace(string(raw))
-	if line == "" {
-		return core.BackendSpec{}, false, fmt.Errorf("ingest: backend sidecar %s is empty (torn write?); "+
-			"restore it or remove it together with the collection's wal/ckpt", path)
-	}
-	spec, err = core.DecodeBackendSpec(line)
-	if err != nil {
-		return core.BackendSpec{}, false, fmt.Errorf("ingest: backend sidecar %s: %w", path, err)
-	}
-	return spec, true, nil
-}
-
-// writeBackendSidecar records a collection's backend spec durably, with the
-// same discipline as the WAL's epoch sidecar: write a temp file, fsync it,
-// rename into place, fsync the directory. A crash at any point leaves
-// either the old sidecar or the complete new one — never a truncated file
-// that would silently change the collection's representation on replay.
-func writeBackendSidecar(path string, spec core.BackendSpec) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ingest: recording backend: %w", err)
-	}
-	_, err = f.WriteString(spec.Encode() + "\n")
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ingest: recording backend: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ingest: recording backend: %w", err)
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// buildOpts returns the per-document core build options.
-func (st *Store) buildOpts() []core.Option {
-	if st.opts.Catalog.LongCap > 0 {
-		return []core.Option{core.WithLongCap(st.opts.Catalog.LongCap)}
-	}
-	return nil
-}
+func (st *Store) walPath(name string) string { return filepath.Join(st.opts.Dir, name+".wal") }
 
 // build indexes one document with the store's construction options and the
 // collection's backend spec — the identical call a static catalog build
@@ -365,60 +297,86 @@ func (st *Store) buildOpts() []core.Option {
 // collections bit-identical (exact backends) or ε-identical (approx) to
 // static ones.
 func (st *Store) build(doc *ustring.String, spec core.BackendSpec) (core.Backend, error) {
+	var opts []core.Option
+	if st.opts.Catalog.LongCap > 0 {
+		opts = append(opts, core.WithLongCap(st.opts.Catalog.LongCap))
+	}
 	begin := time.Now()
-	ix, err := spec.Build(doc, st.opts.Catalog.TauMin, st.buildOpts()...)
+	ix, err := spec.Build(doc, st.opts.Catalog.TauMin, opts...)
 	if err == nil {
 		st.metrics.buildSeconds.With(spec.Kind).ObserveDuration(time.Since(begin))
 	}
 	return ix, err
 }
 
-// defaultSpec is the backend spec a collection created without an explicit
-// request gets: the store's configured default kind with its configured ε.
-func (st *Store) defaultSpec() (core.BackendSpec, error) {
-	return st.opts.Catalog.Spec("")
-}
-
-// resolveSpec turns a caller-supplied non-zero spec request into the
-// validated spec a creating mutation would use: an approx spec with ε 0
-// picks up the store's configured ε. Callers pass the zero spec straight
-// through as "no request" (openColl supplies the store default then).
-func (st *Store) resolveSpec(req core.BackendSpec) (core.BackendSpec, error) {
-	if req.Kind == core.BackendApprox && req.Epsilon == 0 {
-		return st.opts.Catalog.Spec(req.Kind)
-	}
-	return core.NewBackendSpec(req.Kind, req.Epsilon)
-}
-
-// openColl restores one collection: checkpoint (if any) else the static
-// catalog's documents as seed, then the WAL replayed on top. Replay first
-// resolves the final content of every document and only then builds
-// indexes, in parallel, so restart cost is proportional to the surviving
-// document set, not the log length.
+// openColl restores one collection: the manifest's index files (if any)
+// else the static catalog's documents as seed, then the WAL replayed on top.
+// Replay first resolves the final content of every document and only then
+// builds indexes, in parallel, so restart cost is proportional to the
+// surviving document set, not the log length.
 //
 // The collection's index backend spec is resolved in precedence order: the
 // seed catalog's per-collection choice (when its indexes are actually
-// reused), then the durable sidecar from a previous run, then the caller's
-// request (a creating PutWithSpec), then the store default — and
-// re-recorded in the sidecar so the next replay verifies against the same
-// choice, ε included.
+// reused), then the manifest from a previous run, then the caller's request
+// (a creating PutWithSpec), then the store default. A collection without a
+// manifest gets one before its first WAL record, and a changed choice is
+// re-recorded, so the next replay verifies against the same choice, ε
+// included.
 func (st *Store) openColl(name string, cat *catalog.Catalog, backendReq *core.BackendSpec) (*liveColl, error) {
-	spec, err := st.defaultSpec()
+	// Without a request: the store's default kind with its configured ε.
+	spec, err := st.opts.Catalog.Spec("")
 	if err != nil {
 		return nil, err
 	}
 	if backendReq != nil {
 		spec = *backendReq
 	}
-	recorded, hadSidecar, err := readBackendSidecar(st.backendPath(name))
+	lc := &liveColl{store: st, name: name, live: make(map[string]core.Backend), files: make(map[core.Backend]uint64)}
+	m, recorded, err := readManifest(st.manifestPath(name))
+	if err == nil && m == nil {
+		m, recorded, err = st.convertLegacy(lc, spec)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if hadSidecar {
-		spec = recorded
+	lc.man = manifest{TauMin: st.opts.Catalog.TauMin, LongCap: st.opts.Catalog.LongCap}
+	if m != nil {
+		spec, lc.man = recorded, *m
 	}
-	lc := &liveColl{store: st, name: name, live: make(map[string]core.Backend)}
-	w, recs, err := openWAL(st.walPath(name), !st.opts.NoSync, st.opts.Logf)
+	// Seed: a folded manifest supersedes the static catalog — it is the
+	// newer image of the same collection, including any surviving seed
+	// documents.
+	if cat != nil && !lc.man.Folded {
+		if col, ok := cat.Get(name); ok {
+			// The seed indexes are reused as-is, so the collection's backend
+			// spec is whatever the catalog built — authoritative over a stale
+			// manifest from a run with different flags.
+			spec = col.Spec()
+			for i, ix := range col.DocIndexes() {
+				lc.live[fmt.Sprintf(seedIDFormat, i)] = ix
+			}
+		}
+	}
+	lc.spec, lc.man.Spec = spec, spec.Encode()
+	// Write only when the choice actually changed: the common restart path
+	// then never rewrites the manifest at all.
+	if m == nil || recorded != spec {
+		if err := lc.commitLocked(lc.man); err != nil {
+			return nil, err
+		}
+	}
+	lc.next = lc.man.Next
+	pending := make(map[string]*ustring.String) // content to (re)build
+	if err := st.openFolded(lc, pending); err != nil {
+		return nil, err
+	}
+	if lc.remapped > 0 {
+		st.opts.Logf("ingest: %s: re-mapped %d index files", name, lc.remapped)
+	}
+	// A torn tail may have been served to a follower before the crash rolled
+	// it back: the epoch is bumped durably before the log is truncated.
+	w, recs, err := openWAL(st.walPath(name), !st.opts.NoSync, st.opts.Logf,
+		func() error { return lc.setEpochLocked(lc.man.Epoch + 1) })
 	if err != nil {
 		return nil, err
 	}
@@ -429,53 +387,8 @@ func (st *Store) openColl(name string, cat *catalog.Catalog, backendReq *core.Ba
 	w.appends = st.metrics.walAppends.With(name)
 	w.appendedBytes = st.metrics.walAppendedBytes.With(name)
 	lc.wal = w
-
-	// Seed: the checkpoint supersedes the static catalog — it is the newer
-	// image of the same collection, including any surviving seed documents.
-	pending := make(map[string]*ustring.String) // content to (re)build
-	ck, err := readCheckpoint(st.ckptPath(name))
-	if err != nil {
-		w.close()
-		return nil, err
-	}
-	switch {
-	case ck != nil:
-		for i, id := range ck.IDs {
-			pending[id] = ck.Docs[i]
-		}
-		st.opts.Logf("ingest: %s: checkpoint holds %d documents", name, len(ck.IDs))
-	case cat != nil:
-		if col, ok := cat.Get(name); ok {
-			// The seed indexes are reused as-is, so the collection's backend
-			// spec is whatever the catalog built — authoritative over a stale
-			// sidecar from a run with different flags.
-			spec = col.Spec()
-			for i, ix := range col.DocIndexes() {
-				lc.live[fmt.Sprintf(seedIDFormat, i)] = ix
-			}
-		}
-	}
-	lc.spec = spec
-	// Re-record only when the choice actually changed: the common restart
-	// path then never rewrites the sidecar at all, and a genuine change goes
-	// through the atomic temp-and-rename write.
-	if !hadSidecar || recorded != spec {
-		if err := writeBackendSidecar(st.backendPath(name), spec); err != nil {
-			w.close()
-			return nil, fmt.Errorf("ingest: collection %q: %w", name, err)
-		}
-	}
-	// Re-map the compaction-written index cache before replay: documents it
-	// serves skip the rebuild entirely, and replayed mutations below simply
-	// displace stale entries (an OpPut drops the mapped index and queues the
-	// logged content for rebuild; an OpDelete drops it outright).
-	if ck != nil {
-		if n := st.openIndexCache(lc, ck, pending); n > 0 {
-			lc.remapped = n
-			st.opts.Logf("ingest: %s: re-mapped %d cached indexes, rebuilding %d", name, n, len(pending))
-		}
-	}
-	// Replay: resolve final contents first.
+	// Replay: resolve final contents first. An OpPut displaces a re-mapped
+	// index and queues the logged content for rebuild; an OpDelete drops it.
 	for _, rec := range recs {
 		switch rec.Op {
 		case OpPut:
@@ -489,28 +402,17 @@ func (st *Store) openColl(name string, cat *catalog.Catalog, backendReq *core.Ba
 	if len(recs) > 0 {
 		st.opts.Logf("ingest: %s: replayed %d wal records", name, len(recs))
 	}
-	if err := st.buildPending(lc, pending); err != nil {
+	built, err := st.buildDocs(pending, lc.spec)
+	if err != nil {
 		w.close()
 		return nil, fmt.Errorf("ingest: collection %q: %w", name, err)
 	}
+	maps.Copy(lc.live, built)
 	// Count everything as folded so the store starts with no pending work;
 	// durability is untouched (the WAL keeps its records until the next
-	// checkpoint).
+	// fold).
 	lc.foldLocked()
-	lc.publishLocked()
 	return lc, nil
-}
-
-// buildPending indexes the resolved documents on a bounded worker pool.
-func (st *Store) buildPending(lc *liveColl, pending map[string]*ustring.String) error {
-	built, err := st.buildDocs(pending, lc.spec)
-	if err != nil {
-		return err
-	}
-	for id, ix := range built {
-		lc.live[id] = ix
-	}
-	return nil
 }
 
 // buildDocs indexes every document of pending with the given backend spec
@@ -519,11 +421,7 @@ func (st *Store) buildDocs(pending map[string]*ustring.String, spec core.Backend
 	if len(pending) == 0 {
 		return nil, nil
 	}
-	ids := make([]string, 0, len(pending))
-	for id := range pending {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := slices.Sorted(maps.Keys(pending))
 	ixs := make([]core.Backend, len(ids))
 	errs := make([]error, len(ids))
 	sem := make(chan struct{}, st.opts.Catalog.Workers)
@@ -552,11 +450,7 @@ func (st *Store) buildDocs(pending map[string]*ustring.String, spec core.Backend
 
 // sortedLiveLocked returns the live set in canonical (id-sorted) order.
 func (lc *liveColl) sortedLiveLocked() ([]string, []core.Backend) {
-	ids := make([]string, 0, len(lc.live))
-	for id := range lc.live {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := slices.Sorted(maps.Keys(lc.live))
 	ixs := make([]core.Backend, len(ids))
 	for i, id := range ids {
 		ixs[i] = lc.live[id]
@@ -565,16 +459,18 @@ func (lc *liveColl) sortedLiveLocked() ([]string, []core.Backend) {
 }
 
 // foldLocked records the current live set as folded, zeroing the pending
-// work (delta documents and tombstones) the compactor's threshold counts.
+// work (delta documents and tombstones) the compactor's threshold counts,
+// and publishes it.
 func (lc *liveColl) foldLocked() {
 	lc.folded = maps.Clone(lc.live)
+	lc.publishLocked()
 }
 
 // publishLocked assembles and swaps in a fresh View of the current state: a
 // collection over every live index in id order. Indexes are reused as-is —
 // never rebuilt — so the view stays in the collection's configured backend
-// (every live index was built with it).
-func (lc *liveColl) publishLocked() {
+// (every live index was built with it). It returns the new View.
+func (lc *liveColl) publishLocked() *View {
 	copts := lc.store.opts.Catalog
 	ids, ixs := lc.sortedLiveLocked()
 	// A folded document no longer live under the same index is a tombstone;
@@ -586,13 +482,15 @@ func (lc *liveColl) publishLocked() {
 			tombstones++
 		}
 	}
-	lc.view.Store(&View{
+	v := &View{
 		Collection: catalog.FromIndexes(lc.name, copts.TauMin, copts.LongCap, copts.Shards, lc.spec, ixs),
 		gen:        lc.gen,
 		ids:        ids,
 		deltaDocs:  len(ids) - (len(lc.folded) - tombstones),
 		tombstones: tombstones,
-	})
+	}
+	lc.view.Store(v)
+	return v
 }
 
 // coll returns the named collection, creating it (with a fresh WAL, using
@@ -716,7 +614,12 @@ func (st *Store) PutWithSpec(coll, id string, doc *ustring.String, req core.Back
 	}
 	var reqSpec *core.BackendSpec
 	if req != (core.BackendSpec{}) {
-		resolved, err := st.resolveSpec(req)
+		// Validate the request; an approx one with ε 0 picks up the store's
+		// configured ε.
+		resolved, err := core.NewBackendSpec(req.Kind, req.Epsilon)
+		if req.Kind == core.BackendApprox && req.Epsilon == 0 {
+			resolved, err = st.opts.Catalog.Spec(req.Kind)
+		}
 		if err != nil {
 			return PutResult{}, err
 		}
@@ -749,8 +652,7 @@ func (st *Store) PutWithSpec(coll, id string, doc *ustring.String, req core.Back
 	_, replaced := lc.live[id]
 	lc.live[id] = ix
 	lc.gen++
-	lc.publishLocked()
-	v := lc.view.Load()
+	v := lc.publishLocked()
 	lc.mu.Unlock()
 	st.puts.Add(1)
 	st.metrics.puts.Inc()
@@ -787,8 +689,7 @@ func (st *Store) Delete(coll, id string) (bool, error) {
 	}
 	delete(lc.live, id)
 	lc.gen++
-	lc.publishLocked()
-	v := lc.view.Load()
+	v := lc.publishLocked()
 	lc.mu.Unlock()
 	st.deletes.Add(1)
 	st.metrics.deletes.Inc()
@@ -827,16 +728,16 @@ func (st *Store) compactor() {
 	}
 }
 
-// errCompactRaced aborts a compaction whose checkpoint went stale while it
-// was being written.
+// errCompactRaced aborts a fold whose live set went stale while its index
+// files were being written.
 var errCompactRaced = errors.New("ingest: compaction raced a writer")
 
-// Compact folds the named collection: it checkpoints the live document set,
-// truncates the WAL and zeroes the pending delta documents and tombstones.
-// It reports false when there was nothing to fold. The fold is
-// optimistic: the checkpoint is written outside the writer lock, and
-// retried if a mutation lands meanwhile — queries are never blocked, and
-// writers only for the final pointer swap.
+// Compact folds the named collection: it commits the live document set to
+// the manifest, truncates the WAL and zeroes the pending delta documents and
+// tombstones. It reports false when there was nothing to fold. The fold is
+// optimistic: index files are written outside the writer lock, and the fold
+// retried if a mutation lands meanwhile — reusing the files already written
+// — so queries are never blocked, and writers only for the commit.
 func (st *Store) Compact(name string) (bool, error) {
 	if st.closed.Load() {
 		return false, ErrClosed
@@ -886,90 +787,68 @@ func (st *Store) compactOnce(lc *liveColl) (bool, error) {
 	v := lc.view.Load()
 	// A freshly opened store counts replayed records as folded, so the
 	// pending work can be zero while the WAL still holds records; compacting
-	// then means checkpointing and truncating so the log cannot grow across
+	// then means committing and truncating so the log cannot grow across
 	// restarts. With both empty there is truly nothing to do.
 	if v.DeltaDocs()+v.Tombstones() == 0 && lc.wal.records == 0 {
 		lc.mu.Unlock()
 		return false, nil
 	}
 	gen := lc.gen
-	ids, ixs := lc.sortedLiveLocked()
+	live := maps.Clone(lc.live)
 	lc.mu.Unlock()
 
-	docs := make([]*ustring.String, len(ixs))
-	for i, ix := range ixs {
-		docs[i] = ix.Source()
-	}
-	nonce, err := newNonce()
+	// Only live indexes without a file get one, so a fold writes O(delta);
+	// a retry after errCompactRaced reuses the files already written.
+	docs, err := lc.writeFiles(live)
 	if err != nil {
-		return false, err
-	}
-	tmp, err := writeCheckpoint(st.ckptPath(lc.name), nonce, ids, docs)
-	if err != nil {
-		return false, err
-	}
-	// The index cache rides along under the same nonce: a restart that finds
-	// both re-maps the built indexes instead of rebuilding them.
-	ixcTmp, err := st.writeIndexCache(lc.name, nonce, lc.spec, ixs)
-	if err != nil {
-		os.Remove(tmp)
 		return false, err
 	}
 
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	if lc.gen != gen {
-		os.Remove(tmp)
-		os.RemoveAll(ixcTmp)
 		return false, errCompactRaced
 	}
-	// Rename before truncating: if the process dies between the two, replay
-	// sees checkpoint + full WAL, which converges to the same state. The
-	// directory fsync makes the rename itself durable before the truncate —
-	// otherwise a machine crash could persist the empty WAL but not the new
-	// checkpoint's directory entry.
-	if err := os.Rename(tmp, st.ckptPath(lc.name)); err != nil {
-		os.Remove(tmp)
-		os.RemoveAll(ixcTmp)
-		return false, fmt.Errorf("ingest: %w", err)
-	}
-	// Install the cache after the checkpoint that keys it. A failure here
-	// only costs the next restart a rebuild — the nonce check ignores a
-	// missing or stale cache — so it is logged, not fatal.
-	if err := os.RemoveAll(st.ixcPath(lc.name)); err == nil {
-		err = os.Rename(ixcTmp, st.ixcPath(lc.name))
-	}
-	if err != nil {
-		st.opts.Logf("ingest: %s: installing index cache: %v", lc.name, err)
-		os.RemoveAll(ixcTmp)
-	}
-	if !st.opts.NoSync {
-		if err := syncDir(st.opts.Dir); err != nil {
-			return false, err
-		}
+	// The manifest rename is the commit point. It carries the bumped epoch,
+	// so the epoch is durable before the truncate touches the log; a crash
+	// between the two leaves manifest + full WAL, which replay converges.
+	m := lc.man
+	m.TauMin, m.LongCap = st.opts.Catalog.TauMin, st.opts.Catalog.LongCap
+	m.Epoch, m.Next, m.Folded, m.Docs = m.Epoch+1, lc.next, true, docs
+	if err := lc.commitLocked(m); err != nil {
+		return false, err
 	}
 	if err := lc.wal.reset(); err != nil {
-		// The checkpoint already covers the log; leaving the records in
-		// place is safe (replay is idempotent), so surface the error without
+		// The manifest already covers the log; leaving the records in place
+		// is safe (replay is idempotent), so surface the error without
 		// swapping state.
 		return false, err
 	}
-	lc.foldLocked()
+	// Unlink the files the manifest no longer names. A View still mapping
+	// one keeps reading it; Open removes any a crash or failure leaves.
+	named := make(map[uint64]bool, len(docs))
+	for _, d := range docs {
+		named[d.File] = true
+	}
+	for ix, n := range lc.files {
+		if !named[n] {
+			os.Remove(st.ixPath(lc.name, n))
+			delete(lc.files, ix)
+		}
+	}
 	lc.compactions++
-	lc.publishLocked()
-	st.opts.Logf("ingest: %s: compacted %d documents (gen %d)", lc.name, len(ids), lc.gen)
+	lc.foldLocked()
+	st.opts.Logf("ingest: %s: compacted %d documents (gen %d)", lc.name, len(docs), lc.gen)
 	return true, nil
 }
 
 // checkFenced rejects local mutations on a fenced store with the typed
 // sentinel, counting the rejection so the shed rate is observable.
 func (st *Store) checkFenced() error {
-	if !st.fenced.Load() {
+	fenced, info := st.Fenced()
+	if !fenced {
 		return nil
 	}
-	st.fenceMu.Lock()
-	info := st.fenceInfo
-	st.fenceMu.Unlock()
 	st.staleRejects.Add(1)
 	st.metrics.staleRejects.Inc()
 	return fmt.Errorf("%w: collection %q is at epoch %d but a consumer presented epoch %d "+
@@ -1005,7 +884,7 @@ func (st *Store) FenceIfStale(coll string, seen uint64) bool {
 		return false
 	}
 	lc.mu.Lock()
-	cur := lc.wal.epoch
+	cur := lc.man.Epoch
 	lc.mu.Unlock()
 	if seen <= cur {
 		return false
@@ -1023,8 +902,8 @@ func (st *Store) FenceIfStale(coll string, seen uint64) bool {
 
 // Takeover prepares a collection for primary duty after a promotion. A
 // follower applies replicated records without logging them (durability was
-// the old primary's WAL), so first the live set is folded into a durable
-// checkpoint via Compact; then the collection durably adopts an epoch of at
+// the old primary's WAL), so first the live set is folded into durable
+// index files via Compact; then the collection durably adopts an epoch of at
 // least minEpoch — strictly above the demoted primary's — so the old
 // stream's (epoch, offset) pairs can never alias into this node's log, and
 // so a fencing probe carrying the adopted epoch provably supersedes the old
@@ -1037,22 +916,19 @@ func (st *Store) Takeover(coll string, minEpoch uint64) (uint64, error) {
 	if err := st.checkFenced(); err != nil {
 		return 0, err
 	}
-	if _, err := st.coll(coll, true, nil); err != nil {
+	lc, err := st.coll(coll, true, nil)
+	if err != nil {
 		return 0, err
 	}
 	if _, err := st.Compact(coll); err != nil {
 		return 0, err
 	}
-	lc, err := st.coll(coll, false, nil)
-	if err != nil {
-		return 0, err
-	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	if err := lc.wal.setEpoch(minEpoch); err != nil {
+	if err := lc.setEpochLocked(minEpoch); err != nil {
 		return 0, err
 	}
-	return lc.wal.epoch, nil
+	return lc.man.Epoch, nil
 }
 
 // Get returns the named collection's current snapshot.
@@ -1069,13 +945,8 @@ func (st *Store) Get(name string) (*View, bool) {
 // Names returns the collection names in sorted order.
 func (st *Store) Names() []string {
 	st.mu.RLock()
-	names := make([]string, 0, len(st.colls))
-	for n := range st.colls {
-		names = append(names, n)
-	}
-	st.mu.RUnlock()
-	sort.Strings(names)
-	return names
+	defer st.mu.RUnlock()
+	return slices.Sorted(maps.Keys(st.colls))
 }
 
 // Stats returns per-collection summaries in name order, mirroring
@@ -1106,10 +977,8 @@ func (st *Store) Stats() []catalog.Info {
 func (st *Store) Status() []CollectionStatus {
 	out := make([]CollectionStatus, 0)
 	for _, name := range st.Names() {
-		st.mu.RLock()
-		lc := st.colls[name]
-		st.mu.RUnlock()
-		if lc == nil {
+		lc, err := st.coll(name, false, nil)
+		if err != nil {
 			continue
 		}
 		lc.mu.Lock()
@@ -1123,7 +992,7 @@ func (st *Store) Status() []CollectionStatus {
 			DeltaDocs:    v.DeltaDocs(),
 			Tombstones:   v.Tombstones(),
 			Gen:          lc.gen,
-			Epoch:        lc.wal.epoch,
+			Epoch:        lc.man.Epoch,
 			WALRecords:   lc.wal.records,
 			WALBytes:     lc.wal.bytes,
 			Compactions:  lc.compactions,

@@ -3,10 +3,12 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -371,6 +373,10 @@ func TestWALTornTail(t *testing.T) {
 	if v.Docs() != 5 {
 		t.Fatalf("restored %d documents, want 5", v.Docs())
 	}
+	// Dropping the tail bumps the epoch, durably, in the manifest.
+	if pos, err := st2.WALPos("torn"); err != nil || pos.Epoch != 1 {
+		t.Fatalf("WALPos after the repair = %+v, %v; want epoch 1", pos, err)
+	}
 	// The truncated log must accept appends at the repaired offset.
 	if _, err := st2.Put("torn", "d5", docs[5]); err != nil {
 		t.Fatal(err)
@@ -386,52 +392,120 @@ func TestWALTornTail(t *testing.T) {
 	if v, _ := st3.Get("torn"); v.Docs() != 6 {
 		t.Fatalf("after repair and append: %d documents, want 6", v.Docs())
 	}
+	if pos, err := st3.WALPos("torn"); err != nil || pos.Epoch != 1 {
+		t.Fatalf("WALPos after a clean restart = %+v, %v; want epoch 1", pos, err)
+	}
 }
 
-// TestCheckpointCrashWindow: a crash between checkpoint rename and WAL
-// truncation leaves both in place; replaying the full WAL over the
-// checkpoint must converge to the same state (idempotent replay).
+// TestCheckpointCrashWindow crashes a fold at each of its three points and
+// checks that Open converges to the same state and leaves exactly the index
+// files the manifest names:
+//
+//	(a) files written, manifest not renamed: the old manifest and the full
+//	    WAL are served, and the new files are orphans;
+//	(b) manifest renamed, WAL not truncated: replay over the new manifest is
+//	    idempotent, and the files it dropped are still on disk;
+//	(c) WAL truncated, dropped files not yet unlinked.
+//
+// Each crash is staged by putting back, after a clean fold, the files the
+// fold replaced or removed from the point of the crash on.
 func TestCheckpointCrashWindow(t *testing.T) {
 	docs := testDocs(t, 2000, 17)
-	dir := t.TempDir()
-	st, err := Open(nil, testOptions(t, dir, -1))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		restore func(rel string) bool
+	}{
+		{"a-files-written", func(string) bool { return true }},
+		{"b-manifest-renamed", func(rel string) bool { return rel != "win.manifest" }},
+		{"c-wal-truncated", func(rel string) bool { return strings.HasPrefix(rel, "win.ix") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(nil, testOptions(t, dir, -1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			byID := make(map[string]*ustring.String)
+			for i := 0; i < 6; i++ {
+				id := fmt.Sprintf("w%d", i)
+				if _, err := st.Put("win", id, docs[i]); err != nil {
+					t.Fatal(err)
+				}
+				byID[id] = docs[i]
+			}
+			if _, err := st.Compact("win"); err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := st.Delete("win", "w2"); err != nil || !ok {
+				t.Fatal(err)
+			}
+			delete(byID, "w2")
+			if _, err := st.Put("win", "w4", docs[7]); err != nil {
+				t.Fatal(err)
+			}
+			byID["w4"] = docs[7]
+			if _, err := st.Put("win", "w9", docs[8]); err != nil {
+				t.Fatal(err)
+			}
+			byID["w9"] = docs[8]
+			before := readTree(t, dir)
+			if did, err := st.Compact("win"); err != nil || !did {
+				t.Fatalf("compact: did=%v err=%v", did, err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for rel, raw := range before {
+				if tc.restore(rel) {
+					if err := os.WriteFile(filepath.Join(dir, rel), raw, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			st2, err := Open(nil, testOptions(t, dir, -1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			v, _ := st2.Get("win")
+			assertEquivalent(t, v, byID)
+			m, _, err := readManifest(filepath.Join(dir, "win.manifest"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var named []string
+			for _, d := range m.Docs {
+				named = append(named, filepath.Base(st2.ixPath("win", d.File)))
+			}
+			sort.Strings(named)
+			if got := listIx(t, dir, "win"); !reflect.DeepEqual(got, named) {
+				t.Fatalf("<name>.ix/ holds %v after Open, the manifest names %v", got, named)
+			}
+		})
 	}
-	byID := make(map[string]*ustring.String)
-	for i := 0; i < 6; i++ {
-		id := fmt.Sprintf("w%d", i)
-		if _, err := st.Put("win", id, docs[i]); err != nil {
-			t.Fatal(err)
+}
+
+// readTree returns every regular file under dir by its slash-separated
+// path relative to dir.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	out := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-		byID[id] = docs[i]
-	}
-	if ok, err := st.Delete("win", "w2"); err != nil || !ok {
-		t.Fatal(err)
-	}
-	delete(byID, "w2")
-	walPath := filepath.Join(dir, "win.wal")
-	preCompact, err := os.ReadFile(walPath)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		out[filepath.ToSlash(rel)] = raw
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if did, err := st.Compact("win"); err != nil || !did {
-		t.Fatalf("compact: did=%v err=%v", did, err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Undo the truncation: checkpoint and full pre-compaction WAL coexist.
-	if err := os.WriteFile(walPath, preCompact, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(nil, testOptions(t, dir, -1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	v, _ := st2.Get("win")
-	assertEquivalent(t, v, byID)
+	return out
 }
 
 // TestBackgroundCompaction: crossing the threshold folds the delta without

@@ -31,7 +31,7 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 		buildSeconds: r.HistogramVec("ustridx_index_build_seconds",
 			"Per-document index construction latency by backend kind.", nil, "backend"),
 		compactSeconds: r.HistogramVec("ustridx_compaction_seconds",
-			"Compaction duration (checkpoint write through view swap).", nil, "collection"),
+			"Compaction duration (index file writes through view swap).", nil, "collection"),
 		compactions: r.CounterVec("ustridx_compactions_total",
 			"Completed compactions.", "collection"),
 		puts:    r.Counter("ustridx_puts_total", "Acknowledged document puts."),

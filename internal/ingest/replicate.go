@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"reflect"
@@ -79,7 +80,7 @@ func (st *Store) WALPos(coll string) (WALPosition, error) {
 }
 
 func (lc *liveColl) posLocked() WALPosition {
-	return WALPosition{Epoch: lc.wal.epoch, Offset: lc.wal.bytes, Records: int64(lc.wal.records)}
+	return WALPosition{Epoch: lc.man.Epoch, Offset: lc.wal.bytes, Records: int64(lc.wal.records)}
 }
 
 // ReadWAL returns up to roughly maxBytes of whole log frames starting at
@@ -150,7 +151,7 @@ func (st *Store) ReadWAL(coll string, from int64, maxBytes int) ([]byte, WALPosi
 	// we read: a compaction truncating and then re-growing the file could
 	// otherwise hand us new-epoch frames stamped with the old position.
 	lc.mu.Lock()
-	same := lc.wal.epoch == pos.Epoch
+	same := lc.man.Epoch == pos.Epoch
 	lc.mu.Unlock()
 	if !same {
 		return st.recheck(lc, pos)
@@ -269,12 +270,9 @@ func (st *Store) Apply(coll string, recs []WALRecord) error {
 	for id := range deleted {
 		delete(lc.live, id)
 	}
-	for id, ix := range built {
-		lc.live[id] = ix
-	}
+	maps.Copy(lc.live, built)
 	lc.gen++
-	lc.publishLocked()
-	v := lc.view.Load()
+	v := lc.publishLocked()
 	lc.mu.Unlock()
 	// A follower accumulates delta exactly like a primary; nudge the
 	// background compactor so its views keep a compact base too.
@@ -314,7 +312,7 @@ func (st *Store) ApplySnapshot(snap *ReplicaSnapshot) error {
 		return err
 	}
 	// A local collection that predates this snapshot may have been created
-	// with a different backend spec (a stale sidecar, or a follower
+	// with a different backend spec (a stale manifest, or a follower
 	// configured differently); applying the snapshot anyway would split the
 	// collection across representations or error bounds, so fail loudly
 	// instead.
@@ -322,10 +320,7 @@ func (st *Store) ApplySnapshot(snap *ReplicaSnapshot) error {
 		return err
 	}
 	lc.mu.Lock()
-	prev := make(map[string]core.Backend, len(lc.live))
-	for id, ix := range lc.live {
-		prev[id] = ix
-	}
+	prev := maps.Clone(lc.live)
 	lc.mu.Unlock()
 	pending := make(map[string]*ustring.String)
 	reused := make(map[string]core.Backend)
@@ -343,18 +338,11 @@ func (st *Store) ApplySnapshot(snap *ReplicaSnapshot) error {
 	if err != nil {
 		return fmt.Errorf("ingest: collection %q: %w", snap.Name, err)
 	}
-	next := make(map[string]core.Backend, len(snap.IDs))
-	for id, ix := range reused {
-		next[id] = ix
-	}
-	for id, ix := range built {
-		next[id] = ix
-	}
+	maps.Copy(reused, built)
 	lc.mu.Lock()
-	lc.live = next
+	lc.live = reused
 	lc.gen++
-	lc.publishLocked()
-	v := lc.view.Load()
+	v := lc.publishLocked()
 	lc.mu.Unlock()
 	st.maybeCompact(snap.Name, v)
 	return nil

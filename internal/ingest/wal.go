@@ -9,8 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -29,11 +27,12 @@ import (
 //
 // Replication addresses records by (epoch, byte offset): the offset of a
 // record is the byte position of its frame in the log file, and the epoch is
-// a durable per-collection counter bumped whenever the file's bytes stop
-// being append-only history — at compaction (the log is truncated to empty)
-// and when a torn tail is dropped. An (epoch, offset) pair therefore names
-// one immutable byte range forever: a follower holding a stale epoch can
-// never misread recycled offsets as a continuation of the stream.
+// a durable per-collection counter, kept in the collection's manifest and
+// bumped whenever the file's bytes stop being append-only history — at
+// compaction (the log is truncated to empty) and when a torn tail is
+// dropped. An (epoch, offset) pair therefore names one immutable byte range
+// forever: a follower holding a stale epoch can never misread recycled
+// offsets as a continuation of the stream.
 
 // Mutation opcodes.
 const (
@@ -133,12 +132,6 @@ type wal struct {
 	sync    bool
 	records int
 	bytes   int64
-	// epoch counts the times this log's byte history was invalidated
-	// (compaction truncate, torn-tail repair); see the format comment. It is
-	// persisted in a sidecar file so offsets can never be reused across
-	// restarts within one epoch.
-	epoch     uint64
-	epochPath string
 	// broken marks a log whose failed append could not be rolled back to a
 	// record boundary; further appends are refused rather than risked after
 	// garbage.
@@ -152,84 +145,22 @@ type wal struct {
 	appendedBytes *obs.Counter
 }
 
-// loadEpoch reads the sidecar epoch; a missing or unreadable file is epoch 0
-// (a collection that never compacted or repaired).
-func loadEpoch(path string) uint64 {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	n, err := strconv.ParseUint(string(bytes.TrimSpace(b)), 10, 64)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
-// bumpEpoch durably advances the epoch. It must complete before the log
-// bytes it invalidates are touched: a crash after the bump but before the
-// truncate only costs followers a spurious re-bootstrap, while the reverse
-// order could hand them recycled offsets.
-func (w *wal) bumpEpoch() error {
-	return w.setEpoch(w.epoch + 1)
-}
-
-// setEpoch durably moves the epoch forward to next (a next at or below the
-// current epoch is a no-op: epochs never regress). The sidecar is written to
-// a temporary file and renamed into place so a crash mid-write can never
-// leave an empty or garbled file that would load as a *regressed* epoch —
-// the one failure the epoch scheme cannot tolerate. Promotion uses this
-// directly to adopt an epoch above the demoted primary's, so the old
-// stream's (epoch, offset) pairs can never alias into the new primary's log.
-func (w *wal) setEpoch(next uint64) error {
-	if next <= w.epoch {
-		return nil
-	}
-	tmp := w.epochPath + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	_, err = f.WriteString(strconv.FormatUint(next, 10))
-	if err == nil && w.sync {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, w.epochPath)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ingest: writing epoch %s: %w", w.epochPath, err)
-	}
-	if w.sync {
-		// Make the rename itself durable before the caller truncates the
-		// log: a machine crash must never persist the truncate but not the
-		// bumped epoch.
-		if err := syncDir(filepath.Dir(w.epochPath)); err != nil {
-			return err
-		}
-	}
-	w.epoch = next
-	return nil
-}
-
 // openWAL opens (creating if absent) the log at path, replays its records,
 // and positions the write offset after the last whole record, truncating a
-// torn or corrupt tail. The returned records are in append order.
-func openWAL(path string, sync bool, logf func(string, ...any)) (*wal, []WALRecord, error) {
+// torn or corrupt tail after bumpEpoch durably advanced the collection's
+// epoch. The returned records are in append order.
+func openWAL(path string, sync bool, logf func(string, ...any), bumpEpoch func() error) (*wal, []WALRecord, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: %w", err)
 	}
-	w := &wal{f: f, path: path, sync: sync, epochPath: path + ".epoch"}
-	w.epoch = loadEpoch(w.epochPath)
-	recs, valid, err := scanFile(f)
+	w := &wal{f: f, path: path, sync: sync}
+	// Buffered reads may advance the file offset past the last whole
+	// record; a torn tail re-seeks to the valid offset below.
+	recs, valid, err := ScanWAL(bufio.NewReader(f))
 	if err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("ingest: reading %s: %w", path, err)
 	}
 	if size, serr := f.Seek(0, io.SeekEnd); serr != nil {
 		f.Close()
@@ -239,7 +170,7 @@ func openWAL(path string, sync bool, logf func(string, ...any)) (*wal, []WALReco
 		// The dropped bytes may have been served to a follower before the
 		// crash rolled them back; bump the epoch (durably, first) so such a
 		// follower re-bootstraps instead of resuming into rewritten offsets.
-		if berr := w.bumpEpoch(); berr != nil {
+		if berr := bumpEpoch(); berr != nil {
 			f.Close()
 			return nil, nil, berr
 		}
@@ -255,21 +186,6 @@ func openWAL(path string, sync bool, logf func(string, ...any)) (*wal, []WALReco
 	w.records = len(recs)
 	w.bytes = valid
 	return w, recs, nil
-}
-
-// scanFile reads whole records from the start of f and returns them together
-// with the offset just past the last one.
-func scanFile(f *os.File) ([]WALRecord, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("ingest: %w", err)
-	}
-	// Buffered reads may advance the file offset past the last whole record;
-	// openWAL re-seeks from the returned valid offset afterwards.
-	recs, valid, err := ScanWAL(bufio.NewReader(f))
-	if err != nil {
-		return nil, 0, fmt.Errorf("ingest: reading %s: %w", f.Name(), err)
-	}
-	return recs, valid, nil
 }
 
 // append encodes and appends one record, then syncs when durability is on.
@@ -319,15 +235,11 @@ func (w *wal) rollback() {
 	}
 }
 
-// reset empties the log after its contents have been captured by a durable
-// checkpoint. The checkpoint must already be renamed into place — reset is
-// the point of no return for the logged records. The epoch is bumped
-// (durably) before the truncate so replication offsets into the old bytes
-// can never alias into the new, empty log.
+// reset empties the log after its contents have been captured by a
+// committed manifest — reset is the point of no return for the logged
+// records. That manifest carries a bumped epoch, so replication offsets into
+// the old bytes can never alias into the new, empty log.
 func (w *wal) reset() error {
-	if err := w.bumpEpoch(); err != nil {
-		return err
-	}
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("ingest: truncating %s: %w", w.path, err)
 	}

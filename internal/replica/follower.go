@@ -559,7 +559,7 @@ func (f *Follower) fetchWAL(ctx context.Context, coll string, epoch uint64, from
 // bytes live on disk, never on the heap next to their decoded form — which
 // is what lets a follower bootstrap collections larger than its RAM
 // headroom. The spool file is hidden from the store's startup scan (its
-// suffix is neither .wal nor .ckpt) and removed before returning.
+// suffix is neither .wal nor .manifest) and removed before returning.
 func (f *Follower) fetchSnapshot(ctx context.Context, coll string) (*ingest.ReplicaSnapshot, error) {
 	q := url.Values{}
 	q.Set("collection", coll)
@@ -692,7 +692,7 @@ func (f *Follower) Promotions() []Promotion {
 //     usual reason to promote; the takeover then proceeds from the last
 //     durably known position, which is exactly the acknowledged-and-
 //     replicated prefix).
-//  3. Per collection, fold the live set into a durable checkpoint and adopt
+//  3. Per collection, fold the live set into durable index files and adopt
 //     an epoch strictly above the old primary's (Store.Takeover), so this
 //     node's log can never alias the demoted stream and a feed poll
 //     carrying the new epoch provably fences the old primary.

@@ -46,7 +46,7 @@ type PromoteResponse struct {
 }
 
 // handlePromote turns a replica into the primary: the follower drains what
-// it can of the old primary's feed, checkpoints every collection, adopts
+// it can of the old primary's feed, folds every collection, adopts
 // epoch+1 durably, and the server flips its role so mutations and the
 // replication feed start being served here. The call is idempotent — a
 // second POST replays the recorded promotions — and synchronous: when it

@@ -16,7 +16,8 @@
 //	                                               creates the collection;
 //	                                               a conflict answers 409)
 //	DELETE /v1/collections/{c}/documents/{id}      delete a document
-//	POST /v1/compact[?collection=C]                checkpoint, truncate the WAL
+//	POST /v1/compact[?collection=C]                fold into the manifest,
+//	                                               truncate the WAL
 //	GET /v1/replication/wal?collection=C&epoch=E&from=O   tail the WAL feed
 //	GET /v1/replication/snapshot?collection=C      bootstrap snapshot (gob)
 //	GET /v1/stats                                  counters, collections,

@@ -123,7 +123,7 @@ type stats struct {
 
 func newStats(r *obs.Registry) *stats {
 	// Process-wide mmap accounting: file-backed index bytes currently mapped
-	// (format-4 envelopes opened by the catalog, the ingest index cache or
+	// (format-4 envelopes opened by the catalog, the ingest index files or
 	// direct loads). Registered here so every role exposes it; re-registration
 	// on a shared registry is idempotent for func gauges.
 	r.GaugeFunc("ustridx_mapped_bytes",

@@ -54,7 +54,8 @@
 // write-ahead log before it is acknowledged, queries run against immutable
 // generation-stamped snapshots (LiveView) — each one Collection over the
 // live documents, assembled from their already-built indexes — and a
-// background compactor checkpoints the live set and truncates the log. A
+// background compactor folds the live set into one index file per document,
+// commits a manifest naming them, and truncates the log. A
 // collection reached through any mutation history answers queries
 // bit-identically to a statically built catalog over the same final
 // document set.
@@ -130,7 +131,7 @@ type CompressedIndex = core.CompressedIndex
 type ApproxBackend = core.ApproxBackend
 
 // BackendSpec names a backend kind plus its construction parameters (the
-// approx backend's ε); it travels through catalog options, ingest sidecars
+// approx backend's ε); it travels through catalog options, ingest manifests
 // and replication snapshots so every layer rebuilds a collection into the
 // identical representation.
 type BackendSpec = core.BackendSpec
@@ -355,9 +356,9 @@ type LiveView = ingest.View
 type PutResult = ingest.PutResult
 
 // OpenIngest builds a mutable store over cat (which may be nil to start
-// empty), replaying the WAL directory's checkpoints and logs so every
-// previously acknowledged mutation is visible. Close the store to flush and
-// release the logs.
+// empty), re-opening each collection's manifest and index files and
+// replaying its log so every previously acknowledged mutation is visible.
+// Close the store to flush and release the logs.
 func OpenIngest(cat *Catalog, opts IngestOptions) (*IngestStore, error) {
 	return ingest.Open(cat, opts)
 }

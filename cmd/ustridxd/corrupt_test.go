@@ -7,21 +7,24 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/mapped"
 )
 
 // corruptions are the damage patterns a daemon restart must survive: a
 // cache file with garbage where the gob stream starts (bad magic), a
-// truncated file (partial write, full disk), an empty file, and a damaged
-// manifest. In every case catalog.Load must fail with an error — never a
-// panic — and loadCatalog must fall back to rebuilding from the data
-// directory with a logged warning.
+// truncated file (partial write, full disk), an empty file, a damaged
+// manifest, and a manifest naming a file that is gone. In every case
+// catalog.Load must fail with an error — never a panic — and loadCatalog
+// must fall back to rebuilding from the data directory with a logged
+// warning.
 var corruptions = []struct {
 	name   string
-	target string // file glob within the collection cache dir
+	target string // file within the cache dir; the first Save numbers files from 0
 	damage func(t *testing.T, path string)
 }{
-	{"bit-flipped index", "doc000000.idx", func(t *testing.T, path string) {
+	{"bit-flipped index", "prot.ix/0.idx", func(t *testing.T, path string) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -37,7 +40,7 @@ var corruptions = []struct {
 			t.Fatal(err)
 		}
 	}},
-	{"bit-flipped index tail", "doc000001.idx", func(t *testing.T, path string) {
+	{"bit-flipped index tail", "prot.ix/1.idx", func(t *testing.T, path string) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -49,7 +52,7 @@ var corruptions = []struct {
 			t.Fatal(err)
 		}
 	}},
-	{"truncated index", "doc000000.idx", func(t *testing.T, path string) {
+	{"truncated index", "prot.ix/0.idx", func(t *testing.T, path string) {
 		info, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
@@ -58,13 +61,18 @@ var corruptions = []struct {
 			t.Fatal(err)
 		}
 	}},
-	{"empty index", "doc000000.idx", func(t *testing.T, path string) {
+	{"empty index", "prot.ix/0.idx", func(t *testing.T, path string) {
 		if err := os.Truncate(path, 0); err != nil {
 			t.Fatal(err)
 		}
 	}},
-	{"corrupt manifest", "manifest.gob", func(t *testing.T, path string) {
+	{"corrupt manifest", "prot.manifest", func(t *testing.T, path string) {
 		if err := os.WriteFile(path, []byte("not a manifest"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"manifest names a missing file", "prot.ix/1.idx", func(t *testing.T, path string) {
+		if err := os.Remove(path); err != nil {
 			t.Fatal(err)
 		}
 	}},
@@ -83,7 +91,7 @@ func TestLoadCatalogSurvivesCorruptCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.damage(t, filepath.Join(cacheDir, "prot", tc.target))
+			tc.damage(t, filepath.Join(cacheDir, filepath.FromSlash(tc.target)))
 
 			rebuilt := false
 			logSpy := func(format string, args ...any) {
@@ -131,5 +139,33 @@ func TestLoadCatalogSurvivesCorruptCache(t *testing.T) {
 				t.Fatal("cache not repaired by the rebuild")
 			}
 		})
+	}
+}
+
+// TestLoadCatalogReleasesRejectedCache: a cache that loads but is rejected
+// for another taumin is closed before the rebuild, so its mappings do not
+// outlive it.
+func TestLoadCatalogReleasesRejectedCache(t *testing.T) {
+	if !mapped.Available() {
+		t.Skip("mmap unavailable")
+	}
+	dataDir, _ := writeDataDir(t)
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	opts := catalog.Options{TauMin: 0.1, Backend: core.BackendCompressed, MMap: true}
+	quiet := func(string, ...any) {}
+	if _, err := loadCatalog(dataDir, cacheDir, opts, quiet); err != nil {
+		t.Fatal(err)
+	}
+	before := mapped.MappedBytes()
+	opts.TauMin = 0.2
+	cat, err := loadCatalog(dataDir, cacheDir, opts, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col, _ := cat.Get("prot"); col.TauMin() != 0.2 {
+		t.Fatalf("restart with -taumin 0.2 served taumin %g", col.TauMin())
+	}
+	if after := mapped.MappedBytes(); after != before {
+		t.Fatalf("mapped bytes %d after the rejected cache, %d before: mappings leaked", after, before)
 	}
 }

@@ -113,6 +113,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -197,6 +198,9 @@ func run(args []string) error {
 	}
 	if *hotCollections > 0 && *indexCache == "" {
 		return errors.New("-hot-collections needs -index-cache: evicted collections are re-mapped from it")
+	}
+	if *indexCache != "" && filepath.Clean(*indexCache) == filepath.Clean(*wal) {
+		return errors.New("-index-cache and -wal must be different directories: both hold <name>.manifest files")
 	}
 	opts := catalog.Options{
 		TauMin: *tauMin, Shards: *shards, Workers: *workers, LongCap: *longCap,
@@ -448,7 +452,9 @@ func loadCatalog(dataDir, cacheDir string, opts catalog.Options, logf func(strin
 			begin := time.Now()
 			cat, err := catalog.Load(cacheDir, opts)
 			if err == nil {
-				err = cacheMismatch(cat, dataDir)
+				if err = cacheMismatch(cat, dataDir); err != nil {
+					cat.Close() // releases its mappings before the rebuild
+				}
 			}
 			switch {
 			case err != nil:
@@ -493,7 +499,7 @@ func cacheMismatch(cat *catalog.Catalog, dataDir string) error {
 		if info.TauMin != want.TauMin {
 			return fmt.Errorf("was built with taumin %g (want %g)", info.TauMin, want.TauMin)
 		}
-		if effectiveLongCap(info.LongCap) != effectiveLongCap(want.LongCap) {
+		if core.EffectiveLongCap(info.LongCap) != core.EffectiveLongCap(want.LongCap) {
 			return fmt.Errorf("was built with longcap %d (want %d)", info.LongCap, want.LongCap)
 		}
 		if info.Backend != want.Backend {
@@ -517,14 +523,4 @@ func cacheMismatch(cat *catalog.Catalog, dataDir string) error {
 		}
 	}
 	return nil
-}
-
-// effectiveLongCap normalises a requested long-pattern cap to the value the
-// index actually uses, so "default" and "explicitly the default" compare
-// equal.
-func effectiveLongCap(v int) int {
-	if v <= 0 {
-		return core.DefaultLongCap
-	}
-	return v
 }

@@ -194,8 +194,9 @@ func TestLoadCatalogErrors(t *testing.T) {
 	}
 }
 
-// TestFlagValidation: replica mode excludes the local-data flags, and plain
-// mode still requires -data; the errors must fire before anything listens.
+// TestFlagValidation: replica mode excludes the local-data flags, plain mode
+// still requires -data, and -wal and -index-cache need directories of their
+// own; the errors must fire before anything listens.
 func TestFlagValidation(t *testing.T) {
 	if err := run([]string{}); err == nil || !strings.Contains(err.Error(), "-data") {
 		t.Fatalf("missing -data not rejected: %v", err)
@@ -207,6 +208,13 @@ func TestFlagValidation(t *testing.T) {
 		if err := run(args); err == nil || !strings.Contains(err.Error(), "-follow") {
 			t.Fatalf("run(%v) = %v, want a -follow incompatibility error", args, err)
 		}
+	}
+	// The index cache and the WAL directory share the manifest layout, so
+	// one directory cannot hold both.
+	dir := t.TempDir()
+	if err := run([]string{"-data", t.TempDir(), "-wal", dir, "-index-cache", dir + "/"}); err == nil ||
+		!strings.Contains(err.Error(), "-index-cache") {
+		t.Fatalf("shared -wal and -index-cache directory not rejected: %v", err)
 	}
 }
 

@@ -24,17 +24,19 @@
 // through identical arithmetic, so a mixed-backend catalog answers exactly
 // like an all-plain one, trading only memory for query latency.
 //
-// Index construction is the expensive step, so Build runs the per-document
-// builds on a bounded worker pool, and a built catalog can be written to a
-// cache directory with Save and reloaded with Load, reusing the core
-// package's index persistence.
+// Index construction is the expensive step, so builds run on a bounded
+// worker pool, and a built catalog can be written to a cache directory with
+// Save and reloaded with Load, in the one on-disk collection layout the
+// ingest store shares (see Manifest).
 package catalog
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -119,10 +121,7 @@ func (o Options) withDefaults() Options {
 		o.Backend = core.BackendPlain
 	}
 	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-		if o.Shards > 16 {
-			o.Shards = 16
-		}
+		o.Shards = min(runtime.GOMAXPROCS(0), 16)
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -303,21 +302,15 @@ func (c *Catalog) AddWithSpec(name string, docs []*ustring.String, spec core.Bac
 	if err != nil {
 		return nil, fmt.Errorf("catalog: collection %q: %w", name, err)
 	}
-	col := c.assemble(name, c.opts.TauMin, c.opts.LongCap, spec, ixs)
-	col.lastUsed.Store(c.seq.Add(1))
-	c.mu.Lock()
-	c.colls[name] = col
-	delete(c.cold, name)
-	c.evictLocked()
-	c.mu.Unlock()
-	return col, nil
+	return c.register(name, c.opts.TauMin, c.opts.LongCap, spec, ixs), nil
 }
 
-// runPool runs fn(i) for every i in [0, n) on the catalog's bounded worker
-// pool and returns the first error by index.
-func (c *Catalog) runPool(n int, fn func(i int) error) error {
+// RunPool runs fn(i) for every i in [0, n) on at most workers goroutines
+// and returns the first error by index. Builds and loads of a catalog, and
+// the ingest store's, run on it.
+func RunPool(workers, n int, fn func(i int) error) error {
 	errs := make([]error, n)
-	sem := make(chan struct{}, c.opts.Workers)
+	sem := make(chan struct{}, max(workers, 1))
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -329,26 +322,36 @@ func (c *Catalog) runPool(n int, fn func(i int) error) error {
 		}(i)
 	}
 	wg.Wait()
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			return fmt.Errorf("document %d: %w", i, err)
+			return err
 		}
 	}
 	return nil
 }
 
+// Build indexes one document under spec with the options' threshold and
+// long cap — the one construction call of catalogs and ingest stores, which
+// keeps collections reached through any mutation history identical to
+// statically built ones.
+func (o Options) Build(doc *ustring.String, spec core.BackendSpec) (core.Backend, error) {
+	var opts []core.Option
+	if o.LongCap > 0 {
+		opts = append(opts, core.WithLongCap(o.LongCap))
+	}
+	return spec.Build(doc, o.TauMin, opts...)
+}
+
 // buildAll builds one index per document on the worker pool, all with the
 // same backend spec.
 func (c *Catalog) buildAll(docs []*ustring.String, spec core.BackendSpec) ([]core.Backend, error) {
-	var buildOpts []core.Option
-	if c.opts.LongCap > 0 {
-		buildOpts = append(buildOpts, core.WithLongCap(c.opts.LongCap))
-	}
 	ixs := make([]core.Backend, len(docs))
-	err := c.runPool(len(docs), func(i int) error {
+	err := RunPool(c.opts.Workers, len(docs), func(i int) error {
 		var err error
-		ixs[i], err = spec.Build(docs[i], c.opts.TauMin, buildOpts...)
-		return err
+		if ixs[i], err = c.opts.Build(docs[i], spec); err != nil {
+			return fmt.Errorf("document %d: %w", i, err)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -356,9 +359,17 @@ func (c *Catalog) buildAll(docs []*ustring.String, spec core.BackendSpec) ([]cor
 	return ixs, nil
 }
 
-// assemble distributes built or loaded indexes round-robin over the shards.
-func (c *Catalog) assemble(name string, tauMin float64, longCap int, spec core.BackendSpec, ixs []core.Backend) *Collection {
-	return FromIndexes(name, tauMin, longCap, c.opts.Shards, spec, ixs)
+// register assembles built or loaded indexes into a collection over the
+// catalog's shards and adds it under name, replacing any previous one.
+func (c *Catalog) register(name string, tauMin float64, longCap int, spec core.BackendSpec, ixs []core.Backend) *Collection {
+	col := FromIndexes(name, tauMin, longCap, c.opts.Shards, spec, ixs)
+	col.lastUsed.Store(c.seq.Add(1))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.colls[name] = col
+	delete(c.cold, name)
+	c.evictLocked()
+	return col
 }
 
 // FromIndexes assembles a collection directly from already-built
@@ -370,9 +381,7 @@ func (c *Catalog) assemble(name string, tauMin float64, longCap int, spec core.B
 // relies on when it publishes every snapshot of a live collection as one
 // collection over its live indexes, in document-id order.
 func FromIndexes(name string, tauMin float64, longCap, shards int, spec core.BackendSpec, ixs []core.Backend) *Collection {
-	if shards < 1 {
-		shards = 1
-	}
+	shards = max(shards, 1)
 	if spec.Kind == "" {
 		spec.Kind = core.BackendPlain
 	}
@@ -423,22 +432,17 @@ func (c *Catalog) Get(name string) (*Collection, bool) {
 	c.mu.RLock()
 	col, ok = c.colls[name]
 	c.mu.RUnlock()
-	if !ok {
-		if err := c.loadCollection(filepath.Join(dir, name), name); err != nil {
-			return nil, false
-		}
-		c.faults.Add(1)
-		if c.faultsCounter != nil {
-			c.faultsCounter.Inc()
-		}
-		c.mu.RLock()
-		col, ok = c.colls[name]
-		c.mu.RUnlock()
-	}
 	if ok {
 		col.lastUsed.Store(c.seq.Add(1))
+		return col, true
 	}
-	return col, ok
+	col, err := c.loadCollection(dir, name)
+	if err != nil {
+		return nil, false
+	}
+	c.faults.Add(1)
+	c.faultsCounter.Inc()
+	return col, true
 }
 
 // evictLocked enforces the HotCollections bound: while too many collections
@@ -460,7 +464,7 @@ func (c *Catalog) evictLocked() {
 	for name, col := range c.colls {
 		// Only collections present in the cache can fault back in; never
 		// evict one that would be lost.
-		if _, err := os.Stat(filepath.Join(c.cacheDir, name, manifestName)); err != nil {
+		if _, err := os.Stat(ManifestPath(c.cacheDir, name)); err != nil {
 			continue
 		}
 		cands = append(cands, cand{name, col.lastUsed.Load()})
@@ -472,7 +476,7 @@ func (c *Catalog) evictLocked() {
 		}
 		col := c.colls[v.name]
 		delete(c.colls, v.name)
-		c.cold[v.name] = infoOf(col)
+		c.cold[v.name] = col.Info()
 		backends := col.DocIndexes()
 		time.AfterFunc(c.opts.EvictGrace, func() {
 			for _, b := range backends {
@@ -482,19 +486,26 @@ func (c *Catalog) evictLocked() {
 	}
 }
 
+// Close releases the backends — mappings included — of every resident
+// collection and empties the catalog; collections already handed out must
+// not be queried afterwards. Evicted collections release theirs on their
+// grace timers.
+func (c *Catalog) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, col := range c.colls {
+		closeAll(col.DocIndexes())
+	}
+	c.colls, c.cold = map[string]*Collection{}, map[string]Info{}
+}
+
 // Names returns the collection names in sorted order, including collections
 // currently evicted under the HotCollections bound.
 func (c *Catalog) Names() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.colls)+len(c.cold))
-	for n := range c.colls {
-		names = append(names, n)
-	}
-	for n := range c.cold {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.AppendSeq(slices.Collect(maps.Keys(c.colls)), maps.Keys(c.cold))
+	slices.Sort(names)
 	return names
 }
 
@@ -528,7 +539,8 @@ type Info struct {
 	Cold bool
 }
 
-func infoOf(col *Collection) Info {
+// Info summarises the collection for stats reporting.
+func (col *Collection) Info() Info {
 	return Info{
 		Name:        col.name,
 		Docs:        col.docs,
@@ -550,7 +562,7 @@ func (c *Catalog) Stats() []Info {
 	defer c.mu.RUnlock()
 	infos := make([]Info, 0, len(c.colls)+len(c.cold))
 	for _, col := range c.colls {
-		infos = append(infos, infoOf(col))
+		infos = append(infos, col.Info())
 	}
 	for _, info := range c.cold {
 		info.Cold = true

@@ -5,10 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/mapped"
 	"repro/internal/ustring"
 )
 
@@ -232,12 +235,18 @@ func TestSavePrunesStaleCache(t *testing.T) {
 	if err := c.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	// An unrelated directory without a manifest must survive pruning.
-	if err := os.MkdirAll(filepath.Join(dir, "unrelated"), 0o755); err != nil {
+	// An unrelated directory must survive pruning; a directory of the layout
+	// before manifests goes, recognised by its manifest.gob name alone.
+	for _, sub := range []string{"unrelated", "old"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "old", "manifest.gob"), []byte("not decoded"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// A second catalog without "drop" and with a smaller "keep" must prune
-	// both the stale collection and the excess document files.
+	// both the stale collection and the superseded document files.
 	c2 := New(Options{TauMin: 0.1, Shards: 2})
 	if _, err := c2.Add("keep", docs[:2]); err != nil {
 		t.Fatal(err)
@@ -245,15 +254,15 @@ func TestSavePrunesStaleCache(t *testing.T) {
 	if err := c2.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "drop")); !os.IsNotExist(err) {
-		t.Fatal("stale collection cache not pruned")
+	for _, gone := range []string{ManifestPath(dir, "drop"), IxDir(dir, "drop"), filepath.Join(dir, "old")} {
+		if _, err := os.Stat(gone); !os.IsNotExist(err) {
+			t.Fatalf("stale cache entry %s not pruned", gone)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, "unrelated")); err != nil {
 		t.Fatal("unrelated directory removed by pruning")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "keep", docFileName(2))); !os.IsNotExist(err) {
-		t.Fatal("stale document file not pruned")
-	}
+	assertIxNamed(t, dir, "keep")
 	loaded, err := Load(dir, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +273,195 @@ func TestSavePrunesStaleCache(t *testing.T) {
 	col, _ := loaded.Get("keep")
 	if col.Docs() != 2 {
 		t.Fatalf("pruned collection has %d docs, want 2", col.Docs())
+	}
+}
+
+// assertIxNamed fails unless <name>.ix/ holds exactly the files the
+// collection's manifest names.
+func assertIxNamed(t *testing.T, dir, name string) {
+	t.Helper()
+	var m Manifest
+	if _, err := ReadManifest(ManifestPath(dir, name), &m); err != nil {
+		t.Fatal(err)
+	}
+	var named, got []string
+	for _, d := range m.Docs {
+		named = append(named, filepath.Base(IxPath(dir, name, d.File)))
+	}
+	entries, err := os.ReadDir(IxDir(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	sort.Strings(named)
+	if !reflect.DeepEqual(got, named) {
+		t.Fatalf("%s.ix/ holds %v, the manifest names %v", name, got, named)
+	}
+}
+
+// TestSaveNeverRewritesMappedFiles: saving a different catalog over the
+// directory a mapped collection was loaded from must not change that
+// collection's answers — Save writes fresh files and unlinks the old ones,
+// which stay readable through their mappings.
+func TestSaveNeverRewritesMappedFiles(t *testing.T) {
+	docsA, docsB := testDocs(t, 800, 83), testDocs(t, 800, 89)
+	opts := Options{TauMin: 0.1, Shards: 2, Backend: core.BackendCompressed}
+	dir := t.TempDir()
+	a := New(opts)
+	if _, err := a.Add("coll", docsA); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	mopts := opts
+	mopts.MMap = true
+	loaded, err := Load(dir, mopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	col, _ := loaded.Get("coll")
+	want := collGrid(t, docsA, col)
+
+	b := New(opts)
+	if _, err := b.Add("coll", docsB); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := collGrid(t, docsA, col); !reflect.DeepEqual(got, want) {
+		t.Fatal("a Save into the directory changed a mapped collection's answers")
+	}
+	assertIxNamed(t, dir, "coll")
+	again, err := Load(dir, mopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	colB, _ := again.Get("coll")
+	baseB, _ := b.Get("coll")
+	if !reflect.DeepEqual(collGrid(t, docsB, colB), collGrid(t, docsB, baseB)) {
+		t.Fatal("the directory does not serve the catalog saved last")
+	}
+}
+
+// TestSaveCrashWindow stages a Save that crashed after writing its index
+// files and before renaming its manifest: Load serves the previous cache,
+// and the next Save sweeps the orphaned files.
+func TestSaveCrashWindow(t *testing.T) {
+	docsA, docsB := testDocs(t, 600, 97), testDocs(t, 600, 101)
+	opts := Options{TauMin: 0.1, Shards: 2}
+	dir := t.TempDir()
+	a := New(opts)
+	if _, err := a.Add("coll", docsA); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	b := New(opts)
+	colB, err := b.Add("coll", docsB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if _, err := ReadManifest(ManifestPath(dir, "coll"), &m); err != nil {
+		t.Fatal(err)
+	}
+	for i, ix := range colB.DocIndexes() {
+		if err := WriteSynced(IxPath(dir, "coll", m.Next+uint64(i)), ix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(ManifestPath(dir, "coll")+".tmp", []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	loaded, err := Load(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseA, _ := a.Get("coll")
+	col, _ := loaded.Get("coll")
+	if !reflect.DeepEqual(collGrid(t, docsA, col), collGrid(t, docsA, baseA)) {
+		t.Fatal("after a crashed Save, Load does not serve the previous cache")
+	}
+	if err := b.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	assertIxNamed(t, dir, "coll")
+	if loaded, err = Load(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	col, _ = loaded.Get("coll")
+	if !reflect.DeepEqual(collGrid(t, docsB, col), collGrid(t, docsB, colB)) {
+		t.Fatal("the Save after the crash does not serve its catalog")
+	}
+}
+
+// TestLoadRejectsTauMinMismatch: a manifest whose τmin disagrees with its
+// files fails Load with an error naming the file.
+func TestLoadRejectsTauMinMismatch(t *testing.T) {
+	dir := t.TempDir()
+	c := New(Options{TauMin: 0.1})
+	if _, err := c.Add("coll", testDocs(t, 300, 103)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if _, err := ReadManifest(ManifestPath(dir, "coll"), &m); err != nil {
+		t.Fatal(err)
+	}
+	m.TauMin = 0.2
+	if err := WriteManifest(ManifestPath(dir, "coll"), &m); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(dir, Options{})
+	if file := IxPath(dir, "coll", m.Docs[0].File); err == nil || !strings.Contains(err.Error(), file) {
+		t.Fatalf("Load over a τmin mismatch: err = %v, want an error naming %s", err, file)
+	}
+}
+
+// TestLoadFailureReleasesMappings: when one collection fails to load, the
+// collections Load already mapped are closed, so the process's mapped
+// footprint is back where it was.
+func TestLoadFailureReleasesMappings(t *testing.T) {
+	if !mapped.Available() {
+		t.Skip("mmap unavailable")
+	}
+	docs := testDocs(t, 800, 107)
+	opts := Options{TauMin: 0.1, Backend: core.BackendCompressed}
+	c := New(opts)
+	for _, name := range []string{"a", "b"} {
+		if _, err := c.Add(name, docs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	if err := c.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Load reads a.manifest before b.manifest: a maps, b fails.
+	var m Manifest
+	if _, err := ReadManifest(ManifestPath(dir, "b"), &m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(IxPath(dir, "b", m.Docs[len(m.Docs)-1].File), 0); err != nil {
+		t.Fatal(err)
+	}
+	before := mapped.MappedBytes()
+	opts.MMap = true
+	if _, err := Load(dir, opts); err == nil {
+		t.Fatal("Load over a truncated index file succeeded")
+	}
+	if after := mapped.MappedBytes(); after != before {
+		t.Fatalf("mapped bytes %d after the failed Load, %d before: mappings leaked", after, before)
 	}
 }
 
@@ -302,19 +500,23 @@ func TestPersistKeepsLongCap(t *testing.T) {
 
 func TestLoadRejectsBadCache(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.Mkdir(filepath.Join(dir, "broken"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "broken", manifestName), []byte("not gob"), 0o644); err != nil {
+	if err := os.WriteFile(ManifestPath(dir, "broken"), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(dir, Options{}); err == nil {
 		t.Fatal("Load of a collection with a corrupt manifest succeeded")
 	}
-	// A directory without a manifest is not a cached collection at all and
-	// must simply be skipped.
+	// Entries without a manifest — an unrelated directory, or one of the
+	// layout before manifests — are not saved collections and must simply be
+	// skipped, and Load leaves them in place.
 	empty := t.TempDir()
-	if err := os.Mkdir(filepath.Join(empty, "junk"), 0o755); err != nil {
+	for _, sub := range []string{"junk", "old"} {
+		if err := os.Mkdir(filepath.Join(empty, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := filepath.Join(empty, "old", "manifest.gob")
+	if err := os.WriteFile(old, []byte("not decoded"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c, err := Load(empty, Options{})
@@ -323,5 +525,8 @@ func TestLoadRejectsBadCache(t *testing.T) {
 	}
 	if len(c.Names()) != 0 {
 		t.Fatalf("Load of manifest-less dirs produced collections %v", c.Names())
+	}
+	if _, err := os.Stat(old); err != nil {
+		t.Fatalf("Load removed %s: %v", old, err)
 	}
 }

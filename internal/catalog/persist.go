@@ -1,46 +1,253 @@
 package catalog
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/core"
 )
 
-// cacheFormat tags the on-disk cache layout; bump on incompatible changes.
-// (Adding the Backend and Epsilon fields did not bump it: caches written
-// before the fields existed decode with the zero values, which mean the
-// plain backend — exactly what their document files hold.)
-const cacheFormat = 1
-
-// manifest describes one cached collection.
-type manifest struct {
-	Format  int
-	TauMin  float64
-	LongCap int
-	Docs    int
-	// Backend is the collection's index backend kind; empty means plain.
-	Backend string
-	// Epsilon is the approx backend's additive error bound; 0 elsewhere.
-	// Together with Backend it reconstructs the collection's BackendSpec, so
-	// a cache load verifies every document file against the same parameters
-	// the collection was built with.
-	Epsilon float64
+// A collection's on-disk form — the one Save and Load use, and the ingest
+// store's — is <dir>/<name>.manifest naming one immutable index file per
+// document under <dir>/<name>.ix/; each file carries its document's source.
+// The manifest is only ever replaced whole (WriteManifest), so its rename
+// is the single commit point of a write: write fresh files (WriteSynced,
+// never over an existing one, because a mapped collection may be reading
+// it), rename a manifest naming them, unlink the files no longer named
+// (Sweep). File names derive from numbers (IxPath), so a manifest can never
+// name a path outside <name>.ix/.
+type Manifest struct {
+	Spec    string  `json:"spec"`    // encoded backend spec
+	TauMin  float64 `json:"tau_min"` // τmin and long cap of the files
+	LongCap int     `json:"long_cap"`
+	Next    uint64  `json:"next"` // next unused file number
+	// Docs names the documents' files in id order, which is document order.
+	Docs []ManifestDoc `json:"docs"`
 }
 
-const manifestName = "manifest.gob"
+// ManifestDoc names one document's index file by number.
+type ManifestDoc struct {
+	ID   string `json:"id"`
+	File uint64 `json:"file"`
+}
 
-func docFileName(i int) string { return fmt.Sprintf("doc%06d.idx", i) }
+// ManifestRecord is a *Manifest or a record embedding one, whose extra
+// fields ride along under their own keys (the ingest store adds its
+// replication epoch and fold flag).
+type ManifestRecord interface{ manifest() *Manifest }
+
+func (m *Manifest) manifest() *Manifest { return m }
+
+// ManifestPath is the manifest of collection name under dir.
+func ManifestPath(dir, name string) string { return filepath.Join(dir, name+".manifest") }
+
+// IxDir is the directory of collection name's index files under dir.
+func IxDir(dir, name string) string { return filepath.Join(dir, name+".ix") }
+
+// IxPath is index file n of collection name under dir.
+func IxPath(dir, name string, n uint64) string {
+	return filepath.Join(IxDir(dir, name), strconv.FormatUint(n, 10)+".idx")
+}
+
+// DocID names document i of a collection without ids of its own (a saved
+// catalog collection, or one seeding an ingest store). Zero-padding keeps
+// the id order equal to the document order.
+func DocID(i int) string { return fmt.Sprintf("doc-%06d", i) }
+
+// MaxDocIDBytes bounds document ids.
+const MaxDocIDBytes = 512
+
+// CheckDocID rejects unusable document ids.
+func CheckDocID(id string) error {
+	if id == "" {
+		return errors.New("empty")
+	}
+	if len(id) > MaxDocIDBytes {
+		return fmt.Errorf("%d bytes exceeds the %d limit", len(id), MaxDocIDBytes)
+	}
+	return nil
+}
+
+// ReadManifest reads the manifest at path into m, validates it and returns
+// its decoded spec. A missing file fails with an error wrapping
+// fs.ErrNotExist; every write is atomic, so any other failure means
+// external damage.
+func ReadManifest(path string, m ManifestRecord) (spec core.BackendSpec, err error) {
+	raw, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(raw, m)
+	}
+	if err == nil {
+		spec, err = m.manifest().validate()
+	}
+	if err != nil {
+		return spec, fmt.Errorf("catalog: manifest %s: %w", path, err)
+	}
+	return spec, nil
+}
+
+// validate returns the decoded spec after checking that the options are in
+// range, the ids valid, sorted and unique, and the file numbers unique and
+// below the counter.
+func (m *Manifest) validate() (core.BackendSpec, error) {
+	spec, err := core.DecodeBackendSpec(m.Spec)
+	if err != nil {
+		return spec, err
+	}
+	if !(m.TauMin > 0 && m.TauMin <= 1) || m.LongCap < 0 {
+		return spec, fmt.Errorf("bad τmin %v or long cap %d", m.TauMin, m.LongCap)
+	}
+	files := make(map[uint64]bool, len(m.Docs))
+	for i, d := range m.Docs {
+		if err := CheckDocID(d.ID); err != nil {
+			return spec, fmt.Errorf("document id %q: %w", d.ID, err)
+		}
+		if i > 0 && d.ID <= m.Docs[i-1].ID {
+			return spec, fmt.Errorf("document %q out of order", d.ID)
+		}
+		if d.File >= m.Next || files[d.File] {
+			return spec, fmt.Errorf("document %q: file %d reused or not below %d", d.ID, d.File, m.Next)
+		}
+		files[d.File] = true
+	}
+	return spec, nil
+}
+
+// WriteManifest durably replaces the manifest at path with m: temp file,
+// fsync, rename, directory fsync. A crash leaves the old manifest or the
+// complete new one, never a torn file.
+func WriteManifest(path string, m ManifestRecord) error {
+	raw, err := json.Marshal(m)
+	if err != nil {
+		return fmt.Errorf("catalog: %w", err)
+	}
+	tmp := path + ".tmp"
+	os.Remove(tmp) // a crash may have left one behind
+	if err := WriteSynced(tmp, bytes.NewReader(raw)); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("catalog: %w", err)
+	}
+	return SyncDir(filepath.Dir(path))
+}
+
+// WriteSynced creates path, which must not exist — an index file is never
+// rewritten in place, because a mapped collection may be reading it — fills
+// it from src and fsyncs it. A failed write removes the partial file.
+func WriteSynced(path string, src io.WriterTo) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return fmt.Errorf("catalog: %w", err)
+	}
+	_, err = src.WriteTo(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+		return fmt.Errorf("catalog: writing %s: %w", path, err)
+	}
+	return nil
+}
+
+// SyncDir fsyncs a directory so its just-created or renamed entries are
+// durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("catalog: syncing %s: %w", dir, err)
+	}
+	return nil
+}
+
+// Sweep removes every entry of <name>.ix/ that m does not name — what a
+// crash, a failed write or a superseding commit left behind — creating the
+// directory when it is missing.
+func Sweep(dir, name string, m *Manifest) error {
+	named := make(map[string]bool, len(m.Docs))
+	for _, d := range m.Docs {
+		named[filepath.Base(IxPath(dir, name, d.File))] = true
+	}
+	ixDir := IxDir(dir, name)
+	err := os.MkdirAll(ixDir, 0o755)
+	var entries []os.DirEntry
+	if err == nil {
+		entries, err = os.ReadDir(ixDir)
+	}
+	for _, e := range entries {
+		if err == nil && !named[e.Name()] {
+			err = os.RemoveAll(filepath.Join(ixDir, e.Name()))
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("catalog: %w", err)
+	}
+	return nil
+}
+
+// OpenManifest opens the index files m names, in m.Docs order, on a pool of
+// opts.Workers, mmap'd under opts.MMap. Every file must hold spec at
+// m.TauMin: one of another representation, ε or threshold was written
+// under other options. On any failure it closes everything it opened and
+// names the file. skips counts the files that skipped the decode path.
+func OpenManifest(dir, name string, m *Manifest, spec core.BackendSpec, opts Options) (ixs []core.Backend, skips int, err error) {
+	ixs = make([]core.Backend, len(m.Docs))
+	var skipped atomic.Int64
+	err = RunPool(opts.Workers, len(m.Docs), func(i int) error {
+		path := IxPath(dir, name, m.Docs[i].File)
+		ix, skip, err := core.OpenBackendFile(path, opts.MMap)
+		if err == nil && (core.SpecOf(ix) != spec || ix.TauMin() != m.TauMin) {
+			err = fmt.Errorf("holds %s at τmin %v, not %s at τmin %v", core.SpecOf(ix), ix.TauMin(), spec, m.TauMin)
+			_ = core.CloseBackend(ix)
+		}
+		if err != nil {
+			return fmt.Errorf("index file %s: %w", path, err)
+		}
+		if skip {
+			skipped.Add(1)
+		}
+		ixs[i] = ix
+		return nil
+	})
+	if err != nil {
+		closeAll(ixs)
+		return nil, 0, err
+	}
+	return ixs, int(skipped.Load()), nil
+}
+
+// closeAll releases every non-nil backend of ixs.
+func closeAll(ixs []core.Backend) {
+	for _, ix := range ixs {
+		if ix != nil {
+			_ = core.CloseBackend(ix)
+		}
+	}
+}
 
 // SafeName reports whether a collection name is usable as an on-disk name —
-// the cache layout and the ingest layer's WAL files both embed the name in
-// file paths, so path separators and hidden-file prefixes are rejected.
+// every file of the layout and the ingest layer's WAL embed the name, so
+// path separators and hidden-file prefixes (which Load skips) are rejected.
 func SafeName(name string) error {
-	// Dot-prefixed names are rejected too: Load skips hidden directories, so
-	// such a collection would save fine and then silently vanish on load.
 	if name == "" || strings.HasPrefix(name, ".") ||
 		strings.ContainsAny(name, string(filepath.Separator)+"/") {
 		return fmt.Errorf("catalog: collection name %q is not usable on disk", name)
@@ -48,21 +255,24 @@ func SafeName(name string) error {
 	return nil
 }
 
-// Save writes every collection's document indexes under dir (one
-// subdirectory per collection), reusing the core package's index
-// persistence. A later Load(dir, …) skips the transformation cost — the
-// dominant share of construction time at low τmin. Cached collections (and
-// per-collection document files) that are no longer part of the catalog are
-// removed, so a stale cache cannot resurrect deleted data on the next Load.
+// Save writes every collection under dir, so a later Load skips the
+// transformation cost — the dominant share of construction time at low
+// τmin. Each collection is written like an ingest fold (see Manifest),
+// numbering its fresh files from the existing manifest's next: a crash
+// leaves the previous cache loadable, and no file a loaded — possibly
+// mapped — collection serves is rewritten. Collections no longer in the
+// catalog are removed, so a stale cache cannot resurrect deleted data.
 func (c *Catalog) Save(dir string) error {
-	// A saved catalog is also an evictable one: record the cache directory
-	// so the HotCollections bound can start releasing collections that now
-	// have somewhere to fault back in from.
+	// A saved catalog is also an evictable one: its collections now have
+	// somewhere to fault back in from under the HotCollections bound.
 	c.mu.Lock()
 	c.cacheDir = dir
 	c.mu.Unlock()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("catalog: %w", err)
+	}
 	if err := c.pruneCache(dir); err != nil {
 		return err
 	}
@@ -70,95 +280,75 @@ func (c *Catalog) Save(dir string) error {
 		if err := SafeName(name); err != nil {
 			return err
 		}
-		cdir := filepath.Join(dir, name)
-		if err := os.MkdirAll(cdir, 0o755); err != nil {
-			return fmt.Errorf("catalog: %w", err)
-		}
-		mf, err := os.Create(filepath.Join(cdir, manifestName))
-		if err != nil {
-			return fmt.Errorf("catalog: %w", err)
-		}
-		err = gob.NewEncoder(mf).Encode(manifest{
-			Format: cacheFormat, TauMin: col.tauMin, LongCap: col.longCap,
-			Docs: col.docs, Backend: col.spec.Kind, Epsilon: col.spec.Epsilon,
-		})
-		if cerr := mf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("catalog: writing manifest for %q: %w", name, err)
-		}
-		for _, shard := range col.shards {
-			for _, di := range shard {
-				if err := writeDocIndex(filepath.Join(cdir, docFileName(di.doc)), di.ix); err != nil {
-					return fmt.Errorf("catalog: collection %q: %w", name, err)
-				}
-			}
+		if err := saveCollection(dir, name, col); err != nil {
+			return fmt.Errorf("catalog: collection %q: %w", name, err)
 		}
 	}
 	return nil
 }
 
-// pruneCache deletes cache subdirectories of collections the catalog no
-// longer holds (recognised by their manifest — unrelated directories are
-// left alone) and, for kept collections, document files beyond the current
-// document count.
+// saveCollection writes one collection following Save's protocol.
+func saveCollection(dir, name string, col *Collection) error {
+	var old Manifest
+	if _, err := ReadManifest(ManifestPath(dir, name), &old); err != nil {
+		// An unreadable manifest names nothing reliably: start over.
+		old = Manifest{}
+		os.Remove(ManifestPath(dir, name))
+	}
+	// Files a crashed Save left unnamed go first, so that numbering from
+	// next never meets an existing file.
+	if err := Sweep(dir, name, &old); err != nil {
+		return err
+	}
+	m := Manifest{Spec: col.spec.Encode(), TauMin: col.tauMin, LongCap: col.longCap, Next: old.Next,
+		Docs: make([]ManifestDoc, col.docs)}
+	for i, ix := range col.DocIndexes() {
+		if err := WriteSynced(IxPath(dir, name, m.Next), ix); err != nil {
+			return err
+		}
+		m.Docs[i] = ManifestDoc{ID: DocID(i), File: m.Next}
+		m.Next++
+	}
+	if err := SyncDir(IxDir(dir, name)); err != nil {
+		return err
+	}
+	if err := WriteManifest(ManifestPath(dir, name), &m); err != nil {
+		return err
+	}
+	return Sweep(dir, name, &m)
+}
+
+// pruneCache removes the entries of collections the catalog no longer
+// holds — <name>.manifest with <name>.ix/ — and every directory of the
+// layout before manifests, recognised by its manifest.gob file name alone.
+// Unrelated entries are left alone.
 func (c *Catalog) pruneCache(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
 		return fmt.Errorf("catalog: %w", err)
 	}
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
+		var stale []string
+		name, isManifest := strings.CutSuffix(e.Name(), ".manifest")
+		if _, err := os.Stat(filepath.Join(dir, e.Name(), "manifest.gob")); e.IsDir() && err == nil {
+			stale = []string{filepath.Join(dir, e.Name())}
+		} else if isManifest && !e.IsDir() && c.colls[name] == nil {
+			stale = []string{ManifestPath(dir, name), IxDir(dir, name)}
 		}
-		cdir := filepath.Join(dir, e.Name())
-		if _, err := os.Stat(filepath.Join(cdir, manifestName)); err != nil {
-			continue // not a cached collection
-		}
-		col, kept := c.colls[e.Name()]
-		if !kept {
-			if err := os.RemoveAll(cdir); err != nil {
+		for _, p := range stale {
+			if err := os.RemoveAll(p); err != nil {
 				return fmt.Errorf("catalog: pruning stale cache %q: %w", e.Name(), err)
-			}
-			continue
-		}
-		files, err := os.ReadDir(cdir)
-		if err != nil {
-			return fmt.Errorf("catalog: %w", err)
-		}
-		for i := col.docs; i < len(files); i++ {
-			stale := filepath.Join(cdir, docFileName(i))
-			if _, err := os.Stat(stale); err == nil {
-				if err := os.Remove(stale); err != nil {
-					return fmt.Errorf("catalog: pruning stale cache file: %w", err)
-				}
 			}
 		}
 	}
 	return nil
 }
 
-func writeDocIndex(path string, ix core.Backend) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	_, err = ix.WriteTo(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// Load rebuilds a catalog from a cache directory written by Save. The
-// construction threshold is taken from each collection's manifest; opts
-// controls sharding and the load worker pool. Loading rebuilds the query
-// structures (suffix arrays, RMQ levels) but reuses the persisted Lemma 2
-// transformations.
+// Load rebuilds a catalog from a directory written by Save, one collection
+// per <name>.manifest, at each manifest's τmin; opts controls sharding, the
+// worker pool and mmap. Format-4 envelope files serve straight out of the
+// file, gob files take the decode path. Load only reads; when a collection
+// fails, the ones already loaded are closed.
 func Load(dir string, opts Options) (*Catalog, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -167,87 +357,30 @@ func Load(dir string, opts Options) (*Catalog, error) {
 	c := New(opts)
 	c.cacheDir = dir
 	for _, e := range entries {
-		if !e.IsDir() || strings.HasPrefix(e.Name(), ".") {
+		name, ok := strings.CutSuffix(e.Name(), ".manifest")
+		if !ok || e.IsDir() || SafeName(name) != nil {
 			continue
 		}
-		// Directories without a manifest are not cached collections (cf.
-		// pruneCache); skip rather than fail on unrelated data.
-		if _, err := os.Stat(filepath.Join(dir, e.Name(), manifestName)); err != nil {
-			continue
-		}
-		if err := c.loadCollection(filepath.Join(dir, e.Name()), e.Name()); err != nil {
+		if _, err := c.loadCollection(dir, name); err != nil {
+			c.Close()
 			return nil, err
 		}
 	}
 	return c, nil
 }
 
-// loadCollection restores one cached collection, reading document indexes on
-// the catalog's worker pool.
-func (c *Catalog) loadCollection(cdir, name string) error {
-	mf, err := os.Open(filepath.Join(cdir, manifestName))
+// loadCollection restores and registers one saved collection.
+func (c *Catalog) loadCollection(dir, name string) (*Collection, error) {
+	var m Manifest
+	spec, err := ReadManifest(ManifestPath(dir, name), &m)
 	if err != nil {
-		return fmt.Errorf("catalog: %q has no manifest: %w", name, err)
+		return nil, err
 	}
-	var m manifest
-	err = gob.NewDecoder(mf).Decode(&m)
-	mf.Close()
+	ixs, skips, err := OpenManifest(dir, name, &m, spec, c.opts)
 	if err != nil {
-		return fmt.Errorf("catalog: reading manifest for %q: %w", name, err)
+		return nil, fmt.Errorf("catalog: collection %q: %w", name, err)
 	}
-	if m.Format != cacheFormat {
-		return fmt.Errorf("catalog: %q: unsupported cache format %d (want %d)", name, m.Format, cacheFormat)
-	}
-	// A corrupted manifest can decode into garbage counts; bound Docs by the
-	// directory's contents before allocating anything proportional to it.
-	if entries, err := os.ReadDir(cdir); err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	} else if m.Docs < 0 || m.Docs > len(entries) {
-		return fmt.Errorf("catalog: %q: manifest claims %d documents but the cache holds %d files", name, m.Docs, len(entries))
-	}
-	spec, err := core.NewBackendSpec(m.Backend, m.Epsilon)
-	if err != nil {
-		return fmt.Errorf("catalog: reading manifest for %q: %w", name, err)
-	}
-	ixs := make([]core.Backend, m.Docs)
-	err = c.runPool(m.Docs, func(i int) error {
-		// Format-4 envelope files validate structurally and serve straight
-		// out of the file (mmap'd under Options.MMap) — no decode, no
-		// rebuild; gob files take the historical decode path.
-		ix, skipped, err := core.OpenBackendFile(filepath.Join(cdir, docFileName(i)), c.opts.MMap)
-		if err != nil {
-			return err
-		}
-		if skipped {
-			c.decodeSkips.Add(1)
-			if c.skipsCounter != nil {
-				c.skipsCounter.Inc()
-			}
-		}
-		// A document file of the wrong representation (or, for approx, a
-		// different ε) means the cache was written under different options;
-		// fail so the caller rebuilds.
-		if got := core.SpecOf(ix); got != spec {
-			_ = core.CloseBackend(ix)
-			return fmt.Errorf("cached index holds the %s backend, manifest says %s", got, spec)
-		}
-		ixs[i] = ix
-		return nil
-	})
-	if err != nil {
-		for _, ix := range ixs {
-			if ix != nil {
-				_ = core.CloseBackend(ix)
-			}
-		}
-		return fmt.Errorf("catalog: collection %q: %w", name, err)
-	}
-	col := c.assemble(name, m.TauMin, m.LongCap, spec, ixs)
-	col.lastUsed.Store(c.seq.Add(1))
-	c.mu.Lock()
-	c.colls[name] = col
-	delete(c.cold, name)
-	c.evictLocked()
-	c.mu.Unlock()
-	return nil
+	c.decodeSkips.Add(int64(skips))
+	c.skipsCounter.Add(int64(skips))
+	return c.register(name, m.TauMin, m.LongCap, spec, ixs), nil
 }

@@ -66,6 +66,16 @@ var (
 // space trade-off against the paper's i = log n..n construction.
 const DefaultLongCap = 1024
 
+// EffectiveLongCap normalises a long-pattern cap to the value indexes
+// actually use, so "default" (<= 0) and "explicitly the default" compare
+// equal.
+func EffectiveLongCap(v int) int {
+	if v <= 0 {
+		return DefaultLongCap
+	}
+	return v
+}
+
 // EngineConfig assembles an Engine from its raw parts.
 type EngineConfig struct {
 	// T is the deterministic text, with factor separators where applicable.
@@ -126,10 +136,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		pos:     cfg.Pos,
 		key:     cfg.Key,
 		corr:    cfg.Corr,
-		longCap: cfg.LongCap,
-	}
-	if e.longCap <= 0 {
-		e.longCap = DefaultLongCap
+		longCap: EffectiveLongCap(cfg.LongCap),
 	}
 	if n == 0 {
 		return e

@@ -78,9 +78,7 @@ func EstimateQuery(spec BackendSpec, docs, positions, shards, longCap, patternLe
 	if shards <= 0 {
 		shards = 1
 	}
-	if longCap <= 0 {
-		longCap = DefaultLongCap
-	}
+	longCap = EffectiveLongCap(longCap)
 	d := float64(docs)
 	m := float64(patternLen)
 	// Patterns beyond the blocking cap fall off the O(m + log n) path; the

@@ -53,9 +53,10 @@ func TestIngestApproxCollection(t *testing.T) {
 	}
 
 	// The manifest records kind and ε in the durable encoded form.
-	m, recorded, err := readManifest(st.manifestPath("appr"))
-	if err != nil || m == nil {
-		t.Fatalf("readManifest = %v, %v", m, err)
+	var m manifest
+	recorded, err := catalog.ReadManifest(catalog.ManifestPath(dir, "appr"), &m)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if m.Spec != spec.Encode() || recorded != spec {
 		t.Fatalf("manifest holds %q, want %q", m.Spec, spec.Encode())

@@ -47,6 +47,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
@@ -85,18 +86,9 @@ var (
 	ErrStaleEpoch = errors.New("ingest: store is fenced at a stale epoch")
 )
 
-// MaxDocIDBytes bounds external document ids.
-const MaxDocIDBytes = 512
-
 // DefaultCompactThreshold is the pending-document count (delta documents
 // plus tombstones) at which the background compactor folds a collection.
 const DefaultCompactThreshold = 64
-
-// seedIDFormat names the documents of a collection seeded from a static
-// catalog. Zero-padding keeps the lexicographic id order equal to the
-// original document order, so an unmutated collection reports the same
-// document numbers it did before the store wrapped it.
-const seedIDFormat = "doc-%06d"
 
 // Options configures a store.
 type Options struct {
@@ -264,14 +256,10 @@ func Open(cat *catalog.Catalog, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch {
-		case strings.HasSuffix(e.Name(), ".wal"):
-			names[strings.TrimSuffix(e.Name(), ".wal")] = true
-		case strings.HasSuffix(e.Name(), ".manifest"):
-			names[strings.TrimSuffix(e.Name(), ".manifest")] = true
+		for _, ext := range []string{".wal", ".manifest"} {
+			if name, ok := strings.CutSuffix(e.Name(), ext); ok && !e.IsDir() {
+				names[name] = true
+			}
 		}
 	}
 	for name := range names {
@@ -291,18 +279,12 @@ func Open(cat *catalog.Catalog, opts Options) (*Store, error) {
 
 func (st *Store) walPath(name string) string { return filepath.Join(st.opts.Dir, name+".wal") }
 
-// build indexes one document with the store's construction options and the
-// collection's backend spec — the identical call a static catalog build
-// with that spec would make, which is what keeps dynamically reached
-// collections bit-identical (exact backends) or ε-identical (approx) to
-// static ones.
+// build indexes one document with the static catalog's construction call
+// (catalog.Options.Build), which keeps dynamically reached collections
+// bit-identical (exact backends) or ε-identical (approx) to static ones.
 func (st *Store) build(doc *ustring.String, spec core.BackendSpec) (core.Backend, error) {
-	var opts []core.Option
-	if st.opts.Catalog.LongCap > 0 {
-		opts = append(opts, core.WithLongCap(st.opts.Catalog.LongCap))
-	}
 	begin := time.Now()
-	ix, err := spec.Build(doc, st.opts.Catalog.TauMin, opts...)
+	ix, err := st.opts.Catalog.Build(doc, spec)
 	if err == nil {
 		st.metrics.buildSeconds.With(spec.Kind).ObserveDuration(time.Since(begin))
 	}
@@ -332,16 +314,18 @@ func (st *Store) openColl(name string, cat *catalog.Catalog, backendReq *core.Ba
 		spec = *backendReq
 	}
 	lc := &liveColl{store: st, name: name, live: make(map[string]core.Backend), files: make(map[core.Backend]uint64)}
-	m, recorded, err := readManifest(st.manifestPath(name))
-	if err == nil && m == nil {
-		m, recorded, err = st.convertLegacy(lc, spec)
+	recorded, err := catalog.ReadManifest(catalog.ManifestPath(st.opts.Dir, name), &lc.man)
+	found := err == nil
+	if errors.Is(err, fs.ErrNotExist) {
+		found, recorded, err = st.convertLegacy(lc, spec)
 	}
 	if err != nil {
 		return nil, err
 	}
-	lc.man = manifest{TauMin: st.opts.Catalog.TauMin, LongCap: st.opts.Catalog.LongCap}
-	if m != nil {
-		spec, lc.man = recorded, *m
+	if found {
+		spec = recorded
+	} else {
+		lc.man.TauMin, lc.man.LongCap = st.opts.Catalog.TauMin, st.opts.Catalog.LongCap
 	}
 	// Seed: a folded manifest supersedes the static catalog — it is the
 	// newer image of the same collection, including any surviving seed
@@ -350,17 +334,19 @@ func (st *Store) openColl(name string, cat *catalog.Catalog, backendReq *core.Ba
 		if col, ok := cat.Get(name); ok {
 			// The seed indexes are reused as-is, so the collection's backend
 			// spec is whatever the catalog built — authoritative over a stale
-			// manifest from a run with different flags.
+			// manifest from a run with different flags. Seed ids keep the
+			// catalog's document order, so an unmutated collection reports
+			// the document numbers it did before the store wrapped it.
 			spec = col.Spec()
 			for i, ix := range col.DocIndexes() {
-				lc.live[fmt.Sprintf(seedIDFormat, i)] = ix
+				lc.live[catalog.DocID(i)] = ix
 			}
 		}
 	}
 	lc.spec, lc.man.Spec = spec, spec.Encode()
 	// Write only when the choice actually changed: the common restart path
 	// then never rewrites the manifest at all.
-	if m == nil || recorded != spec {
+	if !found || recorded != spec {
 		if err := lc.commitLocked(lc.man); err != nil {
 			return nil, err
 		}
@@ -416,30 +402,19 @@ func (st *Store) openColl(name string, cat *catalog.Catalog, backendReq *core.Ba
 }
 
 // buildDocs indexes every document of pending with the given backend spec
-// on a bounded worker pool and returns the id → index map.
+// on the catalog's worker pool and returns the id → index map.
 func (st *Store) buildDocs(pending map[string]*ustring.String, spec core.BackendSpec) (map[string]core.Backend, error) {
-	if len(pending) == 0 {
-		return nil, nil
-	}
 	ids := slices.Sorted(maps.Keys(pending))
 	ixs := make([]core.Backend, len(ids))
-	errs := make([]error, len(ids))
-	sem := make(chan struct{}, st.opts.Catalog.Workers)
-	var wg sync.WaitGroup
-	for i := range ids {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			ixs[i], errs[i] = st.build(pending[ids[i]], spec)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("document %q: %w", ids[i], err)
+	err := catalog.RunPool(st.opts.Catalog.Workers, len(ids), func(i int) error {
+		var err error
+		if ixs[i], err = st.build(pending[ids[i]], spec); err != nil {
+			return fmt.Errorf("document %q: %w", ids[i], err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	built := make(map[string]core.Backend, len(ids))
 	for i, id := range ids {
@@ -539,30 +514,10 @@ func (lc *liveColl) checkBackend(req *core.BackendSpec) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("ingest: syncing %s: %w", dir, err)
-	}
-	return nil
-}
-
 // validateDocID rejects unusable external document ids.
 func validateDocID(id string) error {
-	if id == "" {
-		return fmt.Errorf("%w: empty", ErrBadDocID)
-	}
-	if len(id) > MaxDocIDBytes {
-		return fmt.Errorf("%w: %d bytes exceeds the %d limit", ErrBadDocID, len(id), MaxDocIDBytes)
+	if err := catalog.CheckDocID(id); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadDocID, err)
 	}
 	return nil
 }
@@ -701,10 +656,7 @@ func (st *Store) Delete(coll, id string) (bool, error) {
 // work crossed the threshold. Dropping the nudge is fine — the next
 // mutation re-sends it.
 func (st *Store) maybeCompact(name string, v *View) {
-	if st.opts.CompactThreshold < 0 {
-		return
-	}
-	if v.DeltaDocs()+v.Tombstones() < st.opts.CompactThreshold {
+	if st.opts.CompactThreshold < 0 || v.DeltaDocs()+v.Tombstones() < st.opts.CompactThreshold {
 		return
 	}
 	select {
@@ -824,18 +776,13 @@ func (st *Store) compactOnce(lc *liveColl) (bool, error) {
 		// swapping state.
 		return false, err
 	}
-	// Unlink the files the manifest no longer names. A View still mapping
-	// one keeps reading it; Open removes any a crash or failure leaves.
-	named := make(map[uint64]bool, len(docs))
+	// Unlink the files the manifest no longer names; a View still mapping
+	// one keeps reading it, and Open sweeps any a failure here leaves.
+	lc.files = make(map[core.Backend]uint64, len(docs))
 	for _, d := range docs {
-		named[d.File] = true
+		lc.files[live[d.ID]] = d.File
 	}
-	for ix, n := range lc.files {
-		if !named[n] {
-			os.Remove(st.ixPath(lc.name, n))
-			delete(lc.files, ix)
-		}
-	}
+	_ = catalog.Sweep(st.opts.Dir, lc.name, &m.Manifest)
 	lc.compactions++
 	lc.foldLocked()
 	st.opts.Logf("ingest: %s: compacted %d documents (gen %d)", lc.name, len(docs), lc.gen)
@@ -954,21 +901,9 @@ func (st *Store) Names() []string {
 func (st *Store) Stats() []catalog.Info {
 	infos := make([]catalog.Info, 0)
 	for _, name := range st.Names() {
-		v, ok := st.Get(name)
-		if !ok {
-			continue
+		if v, ok := st.Get(name); ok {
+			infos = append(infos, v.Info())
 		}
-		infos = append(infos, catalog.Info{
-			Name:       name,
-			Docs:       v.Docs(),
-			Positions:  v.Positions(),
-			Shards:     v.Shards(),
-			TauMin:     v.TauMin(),
-			LongCap:    st.opts.Catalog.LongCap,
-			Backend:    v.Backend(),
-			Epsilon:    v.Epsilon(),
-			IndexBytes: v.IndexBytes(),
-		})
 	}
 	return infos
 }

@@ -469,13 +469,13 @@ func TestCheckpointCrashWindow(t *testing.T) {
 			defer st2.Close()
 			v, _ := st2.Get("win")
 			assertEquivalent(t, v, byID)
-			m, _, err := readManifest(filepath.Join(dir, "win.manifest"))
-			if err != nil {
+			var m manifest
+			if _, err := catalog.ReadManifest(filepath.Join(dir, "win.manifest"), &m); err != nil {
 				t.Fatal(err)
 			}
 			var named []string
 			for _, d := range m.Docs {
-				named = append(named, filepath.Base(st2.ixPath("win", d.File)))
+				named = append(named, filepath.Base(catalog.IxPath(dir, "win", d.File)))
 			}
 			sort.Strings(named)
 			if got := listIx(t, dir, "win"); !reflect.DeepEqual(got, named) {
@@ -562,7 +562,7 @@ func TestSeededFromCatalog(t *testing.T) {
 
 	byID := make(map[string]*ustring.String)
 	for i, d := range seed {
-		byID[fmt.Sprintf(seedIDFormat, i)] = d
+		byID[catalog.DocID(i)] = d
 	}
 	v, ok := st.Get("seeded")
 	if !ok || v.Docs() != len(seed) {
@@ -570,10 +570,10 @@ func TestSeededFromCatalog(t *testing.T) {
 	}
 	assertEquivalent(t, v, byID)
 
-	if ok, err := st.Delete("seeded", fmt.Sprintf(seedIDFormat, 1)); err != nil || !ok {
+	if ok, err := st.Delete("seeded", catalog.DocID(1)); err != nil || !ok {
 		t.Fatalf("delete seeded doc: ok=%v err=%v", ok, err)
 	}
-	delete(byID, fmt.Sprintf(seedIDFormat, 1))
+	delete(byID, catalog.DocID(1))
 	if _, err := st.Put("seeded", "zzz-new", docs[6]); err != nil {
 		t.Fatal(err)
 	}

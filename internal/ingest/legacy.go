@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/ustring"
 )
@@ -44,19 +45,19 @@ func readCheckpoint(path string) (*legacyCheckpoint, error) {
 }
 
 // readBackendSidecar returns the spec a legacy <name>.backend records, or
-// ok=false when there is none. An empty or invalid sidecar is an error.
-func readBackendSidecar(path string) (spec core.BackendSpec, ok bool, err error) {
+// spec when there is none. An empty or invalid sidecar is an error.
+func readBackendSidecar(path string, spec core.BackendSpec) (core.BackendSpec, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return core.BackendSpec{}, false, nil
+		return spec, nil
 	}
 	if err == nil {
 		spec, err = core.DecodeBackendSpec(strings.TrimSpace(string(raw)))
 	}
 	if err != nil {
-		return core.BackendSpec{}, false, fmt.Errorf("ingest: backend sidecar %s: %w", path, err)
+		return spec, fmt.Errorf("ingest: backend sidecar %s: %w", path, err)
 	}
-	return spec, true, nil
+	return spec, nil
 }
 
 // loadEpoch reads a legacy <name>.wal.epoch; a missing or unreadable file
@@ -73,22 +74,19 @@ func loadEpoch(path string) uint64 {
 // convertLegacy converts a collection in the layout before manifests —
 // folded content in a gob <name>.ckpt, built indexes in a <name>.ixc/ cache
 // paired to it by a nonce, spec and epoch in the <name>.backend and
-// <name>.wal.epoch sidecars — once, and returns its manifest with the
-// decoded spec; with no old file it returns a nil manifest. It builds the
+// <name>.wal.epoch sidecars — once, and reports whether it converted one,
+// with the decoded spec; the manifest is committed to lc. It builds the
 // checkpoint's documents with the recorded spec (spec when none is
 // recorded), ignoring the old cache, writes their index files and a
 // manifest at the old epoch, and only then removes the old files, so a
 // crash before the rename leaves the old layout intact.
-func (st *Store) convertLegacy(lc *liveColl, spec core.BackendSpec) (*manifest, core.BackendSpec, error) {
+func (st *Store) convertLegacy(lc *liveColl, spec core.BackendSpec) (bool, core.BackendSpec, error) {
 	base := filepath.Join(st.opts.Dir, lc.name)
 	old := []string{base + ".ckpt", base + ".backend", base + ".wal.epoch", base + ".ixc"}
 	if !slices.ContainsFunc(old, func(p string) bool { _, err := os.Stat(p); return err == nil }) {
-		return nil, core.BackendSpec{}, nil
+		return false, spec, nil
 	}
-	recorded, ok, err := readBackendSidecar(old[1])
-	if ok {
-		spec = recorded
-	}
+	spec, err := readBackendSidecar(old[1], spec)
 	var ck *legacyCheckpoint
 	if err == nil {
 		ck, err = readCheckpoint(old[0])
@@ -104,13 +102,10 @@ func (st *Store) convertLegacy(lc *liveColl, spec core.BackendSpec) (*manifest, 
 	// No manifest names a file of <name>.ix/ yet: a crashed conversion's
 	// files go before numbering starts again from 0.
 	if err == nil {
-		err = os.RemoveAll(st.ixDir(lc.name))
+		err = catalog.Sweep(st.opts.Dir, lc.name, &catalog.Manifest{})
 	}
-	if err == nil {
-		err = os.MkdirAll(st.ixDir(lc.name), 0o755)
-	}
-	m := manifest{Spec: spec.Encode(), TauMin: st.opts.Catalog.TauMin, LongCap: st.opts.Catalog.LongCap,
-		Epoch: loadEpoch(old[2]), Folded: ck != nil}
+	m := manifest{Manifest: catalog.Manifest{Spec: spec.Encode(), TauMin: st.opts.Catalog.TauMin,
+		LongCap: st.opts.Catalog.LongCap}, Epoch: loadEpoch(old[2]), Folded: ck != nil}
 	if err == nil {
 		m.Docs, err = lc.writeFiles(built)
 		m.Next = lc.next
@@ -125,8 +120,8 @@ func (st *Store) convertLegacy(lc *liveColl, spec core.BackendSpec) (*manifest, 
 		}
 	}
 	if err != nil {
-		return nil, core.BackendSpec{}, fmt.Errorf("ingest: converting collection %q: %w", lc.name, err)
+		return false, spec, fmt.Errorf("ingest: converting collection %q: %w", lc.name, err)
 	}
 	st.opts.Logf("ingest: %s: converted %d documents at epoch %d to a manifest", lc.name, len(m.Docs), m.Epoch)
-	return &m, spec, nil
+	return true, spec, nil
 }

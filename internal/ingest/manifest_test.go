@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/ustring"
 )
@@ -295,8 +296,9 @@ func TestOpenLegacyLayout(t *testing.T) {
 	check(st)
 }
 
-// FuzzReadManifest: arbitrary bytes decode to an error or to a manifest
-// that passed validation — never a panic.
+// FuzzReadManifest: arbitrary bytes decode, through the catalog's shared
+// reader and validator, to an error or to a manifest that passed
+// validation — never a panic.
 func FuzzReadManifest(f *testing.F) {
 	f.Add([]byte(`{"spec":"compressed","tau_min":0.1,"long_cap":0,"epoch":2,"next":3,"folded":true,` +
 		`"docs":[{"id":"a","file":0},{"id":"b","file":2}]}`))
@@ -308,7 +310,8 @@ func FuzzReadManifest(f *testing.F) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, spec, err := readManifest(path)
+		var m manifest
+		spec, err := catalog.ReadManifest(path, &m)
 		if err != nil {
 			return
 		}

@@ -118,16 +118,7 @@ func (st *Store) ReadWAL(coll string, from int64, maxBytes int) ([]byte, WALPosi
 		return st.recheck(lc, pos)
 	}
 	first := walHeaderSize + int64(binary.LittleEndian.Uint32(header[0:4]))
-	want := int64(maxBytes)
-	if want < first {
-		want = first
-	}
-	if rest := pos.Offset - from; want > rest {
-		want = rest
-	}
-	if want > math.MaxInt32 {
-		want = math.MaxInt32
-	}
+	want := min(max(int64(maxBytes), first), pos.Offset-from, math.MaxInt32)
 	buf := make([]byte, want)
 	n, err := f.ReadAt(buf, from)
 	if err != nil && err != io.EOF {
@@ -208,20 +199,11 @@ func (st *Store) checkReplicaOptions(tauMin float64, longCap int) error {
 		return fmt.Errorf("ingest: primary taumin %g differs from follower taumin %g",
 			tauMin, st.opts.Catalog.TauMin)
 	}
-	if effectiveLongCap(longCap) != effectiveLongCap(st.opts.Catalog.LongCap) {
+	if core.EffectiveLongCap(longCap) != core.EffectiveLongCap(st.opts.Catalog.LongCap) {
 		return fmt.Errorf("ingest: primary longcap %d differs from follower longcap %d",
 			longCap, st.opts.Catalog.LongCap)
 	}
 	return nil
-}
-
-// effectiveLongCap normalises a long-pattern cap to the value indexes
-// actually use, so "default" and "explicitly the default" compare equal.
-func effectiveLongCap(v int) int {
-	if v <= 0 {
-		return core.DefaultLongCap
-	}
-	return v
 }
 
 // Apply applies replicated log records to a collection without logging them

@@ -90,12 +90,7 @@ func ScanWAL(r io.Reader) (recs []WALRecord, valid int64, err error) {
 	var header [walHeaderSize]byte
 	for {
 		if _, err := io.ReadFull(r, header[:]); err != nil {
-			// Clean EOF at a record boundary, or a torn header: stop either
-			// way. Only real I/O failures propagate.
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return recs, valid, nil
-			}
-			return recs, valid, err
+			return recs, valid, readFailure(err)
 		}
 		length := binary.LittleEndian.Uint32(header[0:4])
 		sum := binary.LittleEndian.Uint32(header[4:8])
@@ -104,10 +99,7 @@ func ScanWAL(r io.Reader) (recs []WALRecord, valid int64, err error) {
 		}
 		payload := make([]byte, length)
 		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return recs, valid, nil
-			}
-			return recs, valid, err
+			return recs, valid, readFailure(err)
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
 			return recs, valid, nil
@@ -122,6 +114,15 @@ func ScanWAL(r io.Reader) (recs []WALRecord, valid int64, err error) {
 		recs = append(recs, rec)
 		valid += walHeaderSize + int64(length)
 	}
+}
+
+// readFailure drops the errors of a clean EOF at a record boundary and of a
+// torn frame, which end a scan; only real I/O failures propagate.
+func readFailure(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil
+	}
+	return err
 }
 
 // wal is one collection's append-only log. Callers serialise access (the
@@ -149,38 +150,38 @@ type wal struct {
 // and positions the write offset after the last whole record, truncating a
 // torn or corrupt tail after bumpEpoch durably advanced the collection's
 // epoch. The returned records are in append order.
-func openWAL(path string, sync bool, logf func(string, ...any), bumpEpoch func() error) (*wal, []WALRecord, error) {
+func openWAL(path string, sync bool, logf func(string, ...any), bumpEpoch func() error) (_ *wal, _ []WALRecord, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	w := &wal{f: f, path: path, sync: sync}
 	// Buffered reads may advance the file offset past the last whole
 	// record; a torn tail re-seeks to the valid offset below.
 	recs, valid, err := ScanWAL(bufio.NewReader(f))
 	if err != nil {
-		f.Close()
 		return nil, nil, fmt.Errorf("ingest: reading %s: %w", path, err)
 	}
-	if size, serr := f.Seek(0, io.SeekEnd); serr != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("ingest: %w", serr)
+	if size, err := f.Seek(0, io.SeekEnd); err != nil {
+		return nil, nil, fmt.Errorf("ingest: %w", err)
 	} else if size > valid {
 		logf("ingest: %s: dropping %d bytes of torn tail after %d whole records", path, size-valid, len(recs))
 		// The dropped bytes may have been served to a follower before the
 		// crash rolled them back; bump the epoch (durably, first) so such a
 		// follower re-bootstraps instead of resuming into rewritten offsets.
-		if berr := bumpEpoch(); berr != nil {
-			f.Close()
-			return nil, nil, berr
+		if err := bumpEpoch(); err != nil {
+			return nil, nil, err
 		}
-		if terr := f.Truncate(valid); terr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("ingest: truncating torn tail of %s: %w", path, terr)
+		if err := f.Truncate(valid); err != nil {
+			return nil, nil, fmt.Errorf("ingest: truncating torn tail of %s: %w", path, err)
 		}
-		if _, serr := f.Seek(valid, io.SeekStart); serr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("ingest: %w", serr)
+		if _, err := f.Seek(valid, io.SeekStart); err != nil {
+			return nil, nil, fmt.Errorf("ingest: %w", err)
 		}
 	}
 	w.records = len(recs)

@@ -1,10 +1,8 @@
 package listing
 
 import (
-	"bytes"
 	"math"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -71,44 +69,5 @@ func TestListCountMatchesList(t *testing.T) {
 	}
 	if _, err := ix.ListCount([]byte("A"), 0.01); err == nil {
 		t.Error("tau below tauMin accepted")
-	}
-}
-
-func TestListingPersistRoundTrip(t *testing.T) {
-	docs := gen.Collection(gen.Config{N: 1500, Theta: 0.3, Seed: 359})
-	ix, err := Build(docs, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	n, err := ix.WriteTo(&buf)
-	if err != nil || n != int64(buf.Len()) {
-		t.Fatalf("WriteTo: %v (n=%d, len=%d)", err, n, buf.Len())
-	}
-	back, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range gen.CollectionPatterns(docs, 10, 4, 367) {
-		a, err := ix.List(p, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := back.List(p, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalInts(a, b) {
-			t.Fatalf("round-tripped listing diverges: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestListingReadErrors(t *testing.T) {
-	if _, err := ReadIndex(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := ReadIndex(strings.NewReader("garbage")); err == nil {
-		t.Error("garbage accepted")
 	}
 }

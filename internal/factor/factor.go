@@ -32,14 +32,35 @@
 // represented implicitly by their longest active cover until they genuinely
 // diverge). A window that cannot extend at all dies; it is emitted iff it is
 // not left-extendable, which is precisely bimaximality.
+//
+// The sweep's scratch state is allocated once per Transform and reused at
+// every position:
+//
+//   - One table holds the log viability and the log base probability of
+//     every (position, choice). Correlation bounds are folded in by one pass
+//     over the correlations, so no logarithm is taken and no correlation is
+//     scanned inside the sweep.
+//   - The active windows and the next generation are two slices swapped at
+//     each position. Windows that die, are superseded by their clones or
+//     duplicate a window already in the next generation go on a free list,
+//     and later windows reuse their slices.
+//   - Dedup is exact on (start, chars). Every window of the next generation
+//     ends at the current position, so windows sharing a start share a
+//     length. A per-start chain of them is compared byte for byte before a
+//     candidate is built; no hash can collide and drop a distinct window.
+//   - An emitted factor's characters are copied into one byte arena and its
+//     window is recycled. Assembly sorts the emissions and copies them into
+//     exactly sized output arrays, so no scratch state is referenced by the
+//     result.
 package factor
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/prob"
 	"repro/internal/ustring"
@@ -86,7 +107,10 @@ type Transformed struct {
 	SourceLen int
 }
 
-// window is an active viable window during the sweep.
+// window is an active viable window during the sweep. Its slices are
+// scratch: when the window dies, is superseded by its clones or duplicates a
+// window already in the next generation, it goes back on the sweep's free
+// list and a later window reuses its slices.
 type window struct {
 	start  int       // S position of the first character
 	chars  []byte    // chosen characters
@@ -95,18 +119,43 @@ type window struct {
 	total  float64   // prefix[len(chars)]
 }
 
-func (w *window) clone() *window {
-	return &window{
-		start:  w.start,
-		chars:  append([]byte(nil), w.chars...),
-		logps:  append([]float64(nil), w.logps...),
-		prefix: append([]float64(nil), w.prefix...),
-		total:  w.total,
-	}
-}
-
 // suffixLog returns the log probability of the suffix starting at offset k.
 func (w *window) suffixLog(k int) float64 { return w.total - w.prefix[k] }
+
+// choiceLogs holds the two log probabilities of one (position, choice).
+type choiceLogs struct {
+	viab float64 // pruning bound: base raised by the choice's pr+ and pr−
+	base float64 // prob.Log of the choice's base probability
+}
+
+// chainHead is the dedup index entry of one start position: the last window
+// of the next generation starting there, valid when stamp is that
+// generation's.
+type chainHead struct{ stamp, last int }
+
+// emission is one emitted factor: its start in S and its characters in the
+// sweep's byte arena.
+type emission struct{ start, off, n int }
+
+// sweep is the scratch state of one Transform. Nothing in it outlives the
+// call: assemble copies the factors out into exactly sized arrays.
+type sweep struct {
+	s      *ustring.String
+	logTau float64
+
+	first   []int        // first[i] indexes s.Pos[i][0] in logs; len n+1
+	logs    []choiceLogs // per (position, choice)
+	maxViab []float64    // max viab per position, for the left test
+
+	active, next []*window
+	free         []*window
+	chain        []int       // chain[x]: previous window in next with next[x]'s start, or -1
+	heads        []chainHead // per start position
+	extended     [256]bool   // characters at j that some window continues through
+
+	arena   []byte // characters of the emitted factors
+	emitted []emission
+}
 
 // Transform computes the special uncertain string for s at threshold tauMin.
 func Transform(s *ustring.String, tauMin float64) (*Transformed, error) {
@@ -120,210 +169,305 @@ func Transform(s *ustring.String, tauMin float64) (*Transformed, error) {
 			}
 		}
 	}
-
-	logTau := math.Log(tauMin) - prob.Eps
-
-	// viability returns the log of the probability used for window pruning.
-	// For correlated characters this is an upper bound (max of base, pr+ and
-	// pr−) so that no correlation-boosted match can escape the factor set;
-	// the engine recomputes exact probabilities at query time.
-	viability := func(i int, c ustring.Choice) float64 {
-		p := c.Prob
-		for _, corr := range s.Corr {
-			if corr.At == i && corr.Char == c.Char {
-				if corr.ProbWhenPresent > p {
-					p = corr.ProbWhenPresent
-				}
-				if corr.ProbWhenAbsent > p {
-					p = corr.ProbWhenAbsent
-				}
-			}
-		}
-		return prob.Log(p)
-	}
-
-	tr := &Transformed{TauMin: tauMin, SourceLen: s.Len()}
-
-	var emitted []*window
-	var active []*window
-	seed := maphash.MakeSeed()
-	hashWindow := func(start int, chars []byte) uint64 {
-		var h maphash.Hash
-		h.SetSeed(seed)
-		var b [4]byte
-		b[0] = byte(start)
-		b[1] = byte(start >> 8)
-		b[2] = byte(start >> 16)
-		b[3] = byte(start >> 24)
-		h.Write(b[:])
-		h.Write(chars)
-		return h.Sum64()
-	}
-
-	// maxViability[i] = max per-character viability log prob at position i,
-	// for the left-extendability test at emission.
-	maxViability := make([]float64, s.Len())
-	for i := range s.Pos {
-		best := prob.LogZero
-		for _, c := range s.Pos[i] {
-			if v := viability(i, c); v > best {
-				best = v
-			}
-		}
-		maxViability[i] = best
-	}
-
-	emitIfBimaximal := func(w *window) {
-		if w.start > 0 && maxViability[w.start-1]+w.total >= logTau {
-			return // left-extendable: a longer factor covers this window
-		}
-		emitted = append(emitted, w)
-	}
-
-	for j := 0; j < s.Len(); j++ {
-		next := make([]*window, 0, len(active)+len(s.Pos[j]))
-		dedup := make(map[uint64]bool)
-		push := func(w *window) {
-			h := hashWindow(w.start, w.chars)
-			if dedup[h] {
-				return
-			}
-			dedup[h] = true
-			next = append(next, w)
-		}
-
-		extendedLastChar := make(map[byte]bool) // chars at j covered by some new active
-
-		for _, w := range active {
-			died := true
-			// Pass A: characters the full window cannot take — spawn the
-			// longest viable suffix continued with the character. Suffix
-			// probabilities grow with the start offset, so binary search for
-			// the smallest offset that fits. This pass must run before any
-			// in-place extension of w below.
-			fullExts := 0
-			for _, c := range s.Pos[j] {
-				lp := viability(j, c)
-				if lp == prob.LogZero {
-					continue
-				}
-				if w.total+lp >= logTau {
-					fullExts++
-					continue
-				}
-				k := sort.Search(len(w.chars), func(k int) bool {
-					return w.suffixLog(k)+lp >= logTau
-				})
-				if k >= len(w.chars) || k == 0 {
-					continue // no proper viable suffix
-				}
-				nw := &window{
-					start: w.start + k,
-					chars: append(append([]byte(nil), w.chars[k:]...), c.Char),
-					logps: append(append([]float64(nil), w.logps[k:]...), lp),
-				}
-				nw.prefix = make([]float64, len(nw.chars)+1)
-				for i, l := range nw.logps {
-					nw.prefix[i+1] = nw.prefix[i] + l
-				}
-				nw.total = nw.prefix[len(nw.chars)]
-				push(nw)
-				extendedLastChar[c.Char] = true
-			}
-			// Pass B: full-window extensions. With a single viable
-			// continuation (the overwhelmingly common case on deterministic
-			// stretches) the window is extended in place instead of cloned,
-			// keeping the sweep linear.
-			for _, c := range s.Pos[j] {
-				lp := viability(j, c)
-				if lp == prob.LogZero || w.total+lp < logTau {
-					continue
-				}
-				nw := w
-				if fullExts > 1 {
-					nw = w.clone()
-				}
-				nw.chars = append(nw.chars, c.Char)
-				nw.logps = append(nw.logps, lp)
-				nw.total += lp
-				nw.prefix = append(nw.prefix, nw.total)
-				push(nw)
-				extendedLastChar[c.Char] = true
-				died = false
-			}
-			if died {
-				emitIfBimaximal(w)
-			}
-		}
-
-		// Fresh single-character windows for characters not covered by any
-		// window continuing through j.
-		for _, c := range s.Pos[j] {
-			lp := viability(j, c)
-			if lp == prob.LogZero || lp < logTau || extendedLastChar[c.Char] {
-				continue
-			}
-			push(&window{
-				start:  j,
-				chars:  []byte{c.Char},
-				logps:  []float64{lp},
-				prefix: []float64{0, lp},
-				total:  lp,
-			})
-		}
-		active = next
+	sw := newSweep(s, math.Log(tauMin)-prob.Eps)
+	for j := range s.Pos {
+		sw.step(j)
 	}
 	// End of string: every active window is right-maximal.
-	for _, w := range active {
-		emitIfBimaximal(w)
+	for _, w := range sw.active {
+		sw.emitIfBimaximal(w)
+	}
+	tr := &Transformed{TauMin: tauMin, SourceLen: s.Len()}
+	tr.assemble(sw)
+	return tr, nil
+}
+
+// newSweep computes the log-probability table. A choice's viability is the
+// log of the probability used for window pruning: for correlated characters
+// an upper bound (max of base, pr+ and pr−), so that no correlation-boosted
+// match can escape the factor set; the engine recomputes exact probabilities
+// at query time.
+func newSweep(s *ustring.String, logTau float64) *sweep {
+	n := s.Len()
+	sw := &sweep{
+		s:       s,
+		logTau:  logTau,
+		first:   make([]int, n+1),
+		maxViab: make([]float64, n),
+		heads:   make([]chainHead, n),
+	}
+	for i, pos := range s.Pos {
+		sw.first[i+1] = sw.first[i] + len(pos)
+	}
+	// Collect plain viability probabilities first, raised by one pass over
+	// the correlations, then take every logarithm once.
+	sw.logs = make([]choiceLogs, sw.first[n])
+	for i, pos := range s.Pos {
+		for ci, c := range pos {
+			sw.logs[sw.first[i]+ci].viab = c.Prob
+		}
+	}
+	for _, corr := range s.Corr {
+		if corr.At < 0 || corr.At >= n {
+			continue
+		}
+		for ci, c := range s.Pos[corr.At] {
+			if c.Char != corr.Char {
+				continue
+			}
+			p := &sw.logs[sw.first[corr.At]+ci].viab
+			if corr.ProbWhenPresent > *p {
+				*p = corr.ProbWhenPresent
+			}
+			if corr.ProbWhenAbsent > *p {
+				*p = corr.ProbWhenAbsent
+			}
+		}
+	}
+	for i, pos := range s.Pos {
+		best := prob.LogZero
+		row := sw.logs[sw.first[i]:sw.first[i+1]]
+		for ci, c := range pos {
+			l := &row[ci]
+			l.base = prob.Log(c.Prob)
+			if l.viab == c.Prob {
+				l.viab = l.base
+			} else {
+				l.viab = prob.Log(l.viab)
+			}
+			if l.viab > best {
+				best = l.viab
+			}
+		}
+		sw.maxViab[i] = best
+	}
+	return sw
+}
+
+// step advances the sweep over position j: every active window ending at
+// j−1 is extended, spawns suffixes, or dies, and uncovered characters at j
+// start fresh windows.
+func (sw *sweep) step(j int) {
+	pos := sw.s.Pos[j]
+	row := sw.logs[sw.first[j]:sw.first[j+1]]
+	for _, c := range pos {
+		sw.extended[c.Char] = false
+	}
+	sw.next, sw.chain = sw.next[:0], sw.chain[:0]
+	for _, w := range sw.active {
+		// Pass A: characters the full window cannot take — spawn the
+		// longest viable suffix continued with the character. Suffix
+		// probabilities grow with the start offset, so binary search for
+		// the smallest offset that fits. This pass must run before any
+		// in-place extension of w below.
+		fullExts := 0
+		for ci, c := range pos {
+			lp := row[ci].viab
+			if lp == prob.LogZero {
+				continue
+			}
+			if w.total+lp >= sw.logTau {
+				fullExts++
+				continue
+			}
+			k := sw.suffixStart(w, lp)
+			if k >= len(w.chars) || k == 0 {
+				continue // no proper viable suffix
+			}
+			sw.extended[c.Char] = true
+			if sw.has(j, w.start+k, w.chars[k:], c.Char) {
+				continue
+			}
+			nw := sw.get()
+			nw.start = w.start + k
+			nw.chars = append(append(nw.chars, w.chars[k:]...), c.Char)
+			nw.logps = append(append(nw.logps, w.logps[k:]...), lp)
+			nw.prefix = append(nw.prefix, 0)
+			for i, l := range nw.logps {
+				nw.prefix = append(nw.prefix, nw.prefix[i]+l)
+			}
+			nw.total = nw.prefix[len(nw.chars)]
+			sw.push(j, nw)
+		}
+		// Pass B: full-window extensions. With a single viable
+		// continuation (the overwhelmingly common case on deterministic
+		// stretches) the window is extended in place instead of cloned,
+		// keeping the sweep linear.
+		kept := false
+		for ci, c := range pos {
+			lp := row[ci].viab
+			// Pass A's test, negated: fullExts counts exactly these.
+			if lp == prob.LogZero || !(w.total+lp >= sw.logTau) {
+				continue
+			}
+			sw.extended[c.Char] = true
+			if sw.has(j, w.start, w.chars, c.Char) {
+				continue
+			}
+			nw := w
+			if fullExts > 1 {
+				nw = sw.get()
+				nw.start = w.start
+				nw.chars = append(nw.chars, w.chars...)
+				nw.logps = append(nw.logps, w.logps...)
+				nw.prefix = append(nw.prefix, w.prefix...)
+				nw.total = w.total
+			} else {
+				kept = true
+			}
+			nw.chars = append(nw.chars, c.Char)
+			nw.logps = append(nw.logps, lp)
+			nw.total += lp
+			nw.prefix = append(nw.prefix, nw.total)
+			sw.push(j, nw)
+		}
+		if fullExts == 0 {
+			sw.emitIfBimaximal(w)
+		}
+		if !kept {
+			sw.free = append(sw.free, w)
+		}
 	}
 
-	tr.assemble(s, emitted)
-	return tr, nil
+	// Fresh single-character windows for characters not covered by any
+	// window continuing through j.
+	for ci, c := range pos {
+		lp := row[ci].viab
+		if lp == prob.LogZero || lp < sw.logTau || sw.extended[c.Char] || sw.has(j, j, nil, c.Char) {
+			continue
+		}
+		nw := sw.get()
+		nw.start = j
+		nw.chars = append(nw.chars, c.Char)
+		nw.logps = append(nw.logps, lp)
+		nw.prefix = append(nw.prefix, 0, lp)
+		nw.total = lp
+		sw.push(j, nw)
+	}
+	sw.active, sw.next = sw.next, sw.active
+}
+
+// suffixStart returns the smallest offset k at which w's suffix continued
+// with a character of log viability lp stays viable (sort.Search's bisection,
+// without its closure).
+func (sw *sweep) suffixStart(w *window, lp float64) int {
+	lo, hi := 0, len(w.chars)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if !(w.suffixLog(h)+lp >= sw.logTau) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// has reports whether the generation ending at j already holds the window
+// (start, chars + c). Windows of one generation that share a start have the
+// same length, so the chain for start is compared byte for byte: dedup is
+// exact, with no hash to collide.
+func (sw *sweep) has(j, start int, chars []byte, c byte) bool {
+	h := sw.heads[start]
+	if h.stamp != j+1 {
+		return false
+	}
+	for x := h.last; x >= 0; x = sw.chain[x] {
+		o := sw.next[x].chars
+		if last := len(o) - 1; o[last] == c && bytes.Equal(o[:last], chars) {
+			return true
+		}
+	}
+	return false
+}
+
+// push appends w to the generation ending at j and links it into the chain
+// of its start.
+func (sw *sweep) push(j int, w *window) {
+	h := &sw.heads[w.start]
+	if h.stamp != j+1 {
+		*h = chainHead{stamp: j + 1, last: -1}
+	}
+	sw.chain = append(sw.chain, h.last)
+	h.last = len(sw.next)
+	sw.next = append(sw.next, w)
+}
+
+// get returns an empty window, reusing a freed one when there is one.
+func (sw *sweep) get() *window {
+	n := len(sw.free)
+	if n == 0 {
+		return &window{}
+	}
+	w := sw.free[n-1]
+	sw.free = sw.free[:n-1]
+	w.chars, w.logps, w.prefix = w.chars[:0], w.logps[:0], w.prefix[:0]
+	return w
+}
+
+// emitIfBimaximal records w as a factor unless it is left-extendable, in
+// which case a longer factor covers it.
+func (sw *sweep) emitIfBimaximal(w *window) {
+	if w.start > 0 && sw.maxViab[w.start-1]+w.total >= sw.logTau {
+		return
+	}
+	sw.emitted = append(sw.emitted, emission{start: w.start, off: len(sw.arena), n: len(w.chars)})
+	sw.arena = append(sw.arena, w.chars...)
 }
 
 // assemble lays the emitted factors out into the T / LogP / Pos arrays. The
 // recorded per-character probabilities are the *base* probabilities from the
 // model (not the viability bounds), so the engine's C array reproduces
 // Section 3.2 exactly; correlation corrections are applied by the engine.
-func (tr *Transformed) assemble(s *ustring.String, emitted []*window) {
+func (tr *Transformed) assemble(sw *sweep) {
+	chars := func(e emission) []byte { return sw.arena[e.off : e.off+e.n] }
 	// Deterministic layout: sort factors by (start, content).
-	sort.Slice(emitted, func(a, b int) bool {
-		wa, wb := emitted[a], emitted[b]
-		if wa.start != wb.start {
-			return wa.start < wb.start
+	slices.SortFunc(sw.emitted, func(a, b emission) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
 		}
-		return string(wa.chars) < string(wb.chars)
+		return bytes.Compare(chars(a), chars(b))
 	})
 	total := 0
-	for _, w := range emitted {
-		total += len(w.chars) + 1
+	for _, e := range sw.emitted {
+		total += e.n + 1
 	}
-	tr.T = make([]byte, 0, total)
-	tr.LogP = make([]float64, 0, total)
-	tr.Pos = make([]int32, 0, total)
-	tr.SpanOf = make([]int32, 0, total)
-	for _, w := range emitted {
-		if len(w.chars) > tr.MaxFactorLen {
-			tr.MaxFactorLen = len(w.chars)
+	tr.T = make([]byte, total)
+	tr.LogP = make([]float64, total)
+	tr.Pos = make([]int32, total)
+	tr.SpanOf = make([]int32, total)
+	tr.Spans = make([]Span, len(sw.emitted))
+	x := 0
+	for g, e := range sw.emitted {
+		tr.MaxFactorLen = max(tr.MaxFactorLen, e.n)
+		tr.Spans[g] = Span{XStart: x, XEnd: x + e.n, SStart: int32(e.start)}
+		for k, c := range chars(e) {
+			i := e.start + k
+			tr.T[x] = c
+			tr.LogP[x] = sw.baseLog(i, c)
+			tr.Pos[x] = int32(i)
+			tr.SpanOf[x] = int32(g)
+			x++
 		}
-		span := Span{XStart: len(tr.T), SStart: int32(w.start)}
-		for k, c := range w.chars {
-			base := s.ProbAt(w.start+k, c)
-			tr.T = append(tr.T, c)
-			tr.LogP = append(tr.LogP, prob.Log(base))
-			tr.Pos = append(tr.Pos, int32(w.start+k))
-			tr.SpanOf = append(tr.SpanOf, int32(len(tr.Spans)))
-		}
-		span.XEnd = len(tr.T)
-		tr.Spans = append(tr.Spans, span)
 		// Separator after every factor keeps suffixes of different factors
 		// from running into each other.
-		tr.T = append(tr.T, Separator)
-		tr.LogP = append(tr.LogP, prob.LogZero)
-		tr.Pos = append(tr.Pos, -1)
-		tr.SpanOf = append(tr.SpanOf, -1)
+		tr.T[x] = Separator
+		tr.LogP[x] = prob.LogZero
+		tr.Pos[x] = -1
+		tr.SpanOf[x] = -1
+		x++
 	}
+}
+
+// baseLog returns prob.Log(s.ProbAt(i, c)) from the table: the first choice
+// at i carrying c, as ProbAt picks it.
+func (sw *sweep) baseLog(i int, c byte) float64 {
+	for ci, ch := range sw.s.Pos[i] {
+		if ch.Char == c {
+			return sw.logs[sw.first[i]+ci].base
+		}
+	}
+	return prob.LogZero
 }
 
 // Len returns the length of the transformed text including separators.

@@ -73,13 +73,16 @@ func (s *String) Len() int { return len(s.Pos) }
 // Validate checks the structural invariants of the model: every position is
 // non-empty, has unique characters, valid probabilities summing to one, and
 // every correlation refers to characters that exist with probabilities in
-// range.
+// range, at most one per (position, character).
 func (s *String) Validate() error {
+	var seen [256]bool
 	for i, pos := range s.Pos {
 		if len(pos) == 0 {
 			return fmt.Errorf("%w (position %d)", ErrEmptyPosition, i)
 		}
-		seen := map[byte]bool{}
+		for _, c := range pos {
+			seen[c.Char] = false
+		}
 		sum := 0.0
 		for _, c := range pos {
 			if !prob.Valid(c.Prob) {
@@ -95,6 +98,10 @@ func (s *String) Validate() error {
 			return fmt.Errorf("%w (position %d sums to %v)", ErrNotNormalized, i, sum)
 		}
 	}
+	var governed map[int]int // At·256 + Char → first correlation entry
+	if len(s.Corr) > 0 {
+		governed = make(map[int]int, len(s.Corr))
+	}
 	for k, c := range s.Corr {
 		if c.At < 0 || c.At >= s.Len() || c.DepAt < 0 || c.DepAt >= s.Len() || c.At == c.DepAt {
 			return fmt.Errorf("%w (entry %d: positions)", ErrBadCorrelation, k)
@@ -105,6 +112,12 @@ func (s *String) Validate() error {
 		if !prob.Valid(c.ProbWhenPresent) || !prob.Valid(c.ProbWhenAbsent) {
 			return fmt.Errorf("%w (entry %d: probabilities)", ErrBadCorrelation, k)
 		}
+		key := c.At<<8 | int(c.Char)
+		if first, dup := governed[key]; dup {
+			return fmt.Errorf("%w (entry %d: position %d char %q already governed by entry %d)",
+				ErrBadCorrelation, k, c.At, c.Char, first)
+		}
+		governed[key] = k
 	}
 	return nil
 }

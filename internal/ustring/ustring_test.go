@@ -1,6 +1,7 @@
 package ustring
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"strings"
@@ -67,6 +68,44 @@ func TestValidateRejections(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid string", name)
 		}
+	}
+}
+
+// duplicateCorr governs B at position 1 twice. OccurrenceProb applies only
+// the first correlation, so a string like this would give the engines and
+// the oracle different probabilities; Validate must refuse it.
+const duplicateCorr = `A:1
+B:0.5 C:0.5
+A:0.5 D:0.5
+@corr 1 B 2 A 0.9 0.1
+@corr 1 B 0 A 0.8 0.2
+`
+
+func TestValidateRejectsDuplicateCorrelation(t *testing.T) {
+	s := &String{
+		Pos: []Position{{{'A', 1}}, {{'B', .5}, {'C', .5}}, {{'A', .5}, {'D', .5}}},
+		Corr: []Correlation{
+			{At: 1, Char: 'B', DepAt: 2, DepChar: 'A', ProbWhenPresent: .9, ProbWhenAbsent: .1},
+			{At: 1, Char: 'C', DepAt: 2, DepChar: 'A', ProbWhenPresent: .2, ProbWhenAbsent: .7},
+		},
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("distinct (position, char) correlations rejected: %v", err)
+	}
+	s.Corr = append(s.Corr, Correlation{At: 1, Char: 'B', DepAt: 0, DepChar: 'A', ProbWhenPresent: .8, ProbWhenAbsent: .2})
+	err := s.Validate()
+	if !errors.Is(err, ErrBadCorrelation) {
+		t.Fatalf("Validate = %v, want ErrBadCorrelation", err)
+	}
+	if !strings.Contains(err.Error(), "entry 2") || !strings.Contains(err.Error(), "entry 0") {
+		t.Errorf("error %q does not name the duplicate entry and the one it repeats", err)
+	}
+}
+
+func TestUnmarshalRejectsDuplicateCorrelation(t *testing.T) {
+	_, err := Unmarshal(strings.NewReader(duplicateCorr))
+	if err == nil || !strings.Contains(err.Error(), "malformed correlation") {
+		t.Fatalf("Unmarshal = %v, want a malformed correlation error", err)
 	}
 }
 

@@ -158,6 +158,46 @@ func BenchmarkBackendBuild(b *testing.B) {
 	}
 }
 
+var (
+	compressedShortOnce sync.Once
+	compressedShortIxs  []*core.CompressedIndex
+	compressedShortDocs []*ustring.String
+)
+
+// BenchmarkCompressedShort times the compressed backend's scan on the
+// serving benchmark's corpus shape — 128 documents of 1 200 positions — per
+// pattern length: one op is one pattern searched in every document,
+// directly on the core (no catalog fan-out). m = 2 has the widest suffix
+// ranges, m = 12 mostly misses. Run with -benchmem.
+func BenchmarkCompressedShort(b *testing.B) {
+	compressedShortOnce.Do(func() {
+		for i := 0; i < 128; i++ {
+			doc := gen.Single(gen.Config{N: backendBenchDocLen, Theta: backendBenchTheta, Seed: 1<<20 + int64(i)})
+			cx, err := core.BuildCompressed(doc, backendBenchTauMin)
+			if err != nil {
+				panic(err)
+			}
+			compressedShortDocs = append(compressedShortDocs, doc)
+			compressedShortIxs = append(compressedShortIxs, cx)
+		}
+	})
+	for _, m := range []int{2, 4, 12} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			pats := gen.CollectionPatterns(compressedShortDocs, 32, m, int64(1+m))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pats[i%len(pats)]
+				for _, cx := range compressedShortIxs {
+					if _, err := cx.SearchHits(p, backendBenchTau); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // bench4Backend is one backend's measured slice of BENCH_4.json.
 type bench4Backend struct {
 	BytesPerDoc     float64          `json:"bytes_per_doc"`

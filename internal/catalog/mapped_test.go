@@ -181,3 +181,83 @@ func TestHotCollectionsEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestSaveKeepsEvictedCollections: a Save under the HotCollections bound
+// must not destroy the collection it has evicted — neither into the
+// directory the collection was evicted to, where its files are its only
+// copy, nor into another directory, which must receive it. Each time the
+// evicted collection faults back in and answers bit-identically.
+func TestSaveKeepsEvictedCollections(t *testing.T) {
+	docs := map[string][]*ustring.String{
+		"aa": testDocs(t, 400, 11), "bb": testDocs(t, 400, 23), "cc": testDocs(t, 400, 37),
+	}
+	built := New(Options{TauMin: 0.1, Shards: 2, Backend: core.BackendCompressed})
+	want := map[string][]any{}
+	for name, d := range docs {
+		col, err := built.Add(name, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = collGrid(t, d, col)
+	}
+	dir := t.TempDir()
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Load(dir, Options{
+		Shards: 2, Backend: core.BackendCompressed, MMap: true,
+		HotCollections: 2, EvictGrace: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	evicted := func() string {
+		t.Helper()
+		for _, info := range c.Stats() {
+			if info.Cold {
+				return info.Name
+			}
+		}
+		t.Fatal("no collection is evicted")
+		return ""
+	}
+	check := func(name string) {
+		t.Helper()
+		col, ok := c.Get(name)
+		if !ok {
+			t.Fatalf("Get(%q) cannot fault the evicted collection back in", name)
+		}
+		if got := collGrid(t, docs[name], col); !reflect.DeepEqual(got, want[name]) {
+			t.Fatalf("evicted collection %q answers differently after Save", name)
+		}
+	}
+
+	cold := evicted()
+	if err := c.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond) // past the grace: the old mappings are gone
+	check(cold)
+
+	cold = evicted()
+	dir2 := t.TempDir()
+	if err := c.Save(dir2); err != nil {
+		t.Fatal(err)
+	}
+	check(cold)
+	loaded, err := Load(dir2, Options{Shards: 2, Backend: core.BackendCompressed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Close()
+	for name, d := range docs {
+		col, ok := loaded.Get(name)
+		if !ok {
+			t.Fatalf("the copy in the new directory misses %q", name)
+		}
+		if got := collGrid(t, d, col); !reflect.DeepEqual(got, want[name]) {
+			t.Fatalf("collection %q answers differently from the new directory", name)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -260,19 +261,36 @@ func SafeName(name string) error {
 // τmin. Each collection is written like an ingest fold (see Manifest),
 // numbering its fresh files from the existing manifest's next: a crash
 // leaves the previous cache loadable, and no file a loaded — possibly
-// mapped — collection serves is rewritten. Collections no longer in the
-// catalog are removed, so a stale cache cannot resurrect deleted data.
+// mapped — collection serves is rewritten. A collection evicted under the
+// HotCollections bound exists only in the directory it was evicted from:
+// it is kept when that is dir and copied file for file otherwise.
+// Collections no longer in the catalog are removed, so a stale cache cannot
+// resurrect deleted data. After a successful Save, evicted collections
+// fault back in from dir.
 func (c *Catalog) Save(dir string) error {
-	// A saved catalog is also an evictable one: its collections now have
-	// somewhere to fault back in from under the HotCollections bound.
-	c.mu.Lock()
-	c.cacheDir = dir
-	c.mu.Unlock()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
+	c.mu.RLock()
+	from := c.cacheDir
+	err := c.saveLocked(from, dir)
+	c.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	// A saved catalog is also an evictable one: its collections now have
+	// somewhere to fault back in from.
+	c.mu.Lock()
+	if c.cacheDir == from {
+		c.cacheDir = dir
+	}
+	c.mu.Unlock()
+	return nil
+}
+
+// saveLocked is Save's body under c.mu's read lock; from is the directory
+// cold collections were evicted to.
+func (c *Catalog) saveLocked(from, dir string) error {
 	if err := c.pruneCache(dir); err != nil {
 		return err
 	}
@@ -280,15 +298,58 @@ func (c *Catalog) Save(dir string) error {
 		if err := SafeName(name); err != nil {
 			return err
 		}
-		if err := saveCollection(dir, name, col); err != nil {
+		m := Manifest{Spec: col.spec.Encode(), TauMin: col.tauMin, LongCap: col.longCap,
+			Docs: make([]ManifestDoc, col.docs)}
+		for i := range m.Docs {
+			m.Docs[i].ID = DocID(i)
+		}
+		ixs := col.DocIndexes()
+		err := writeCollection(dir, name, m, func(i int, path string) error {
+			return WriteSynced(path, ixs[i])
+		})
+		if err != nil {
 			return fmt.Errorf("catalog: collection %q: %w", name, err)
+		}
+	}
+	if len(c.cold) == 0 || sameDir(from, dir) {
+		return nil
+	}
+	for name := range c.cold {
+		if err := copyCollection(from, dir, name); err != nil {
+			return fmt.Errorf("catalog: evicted collection %q: %w", name, err)
 		}
 	}
 	return nil
 }
 
-// saveCollection writes one collection following Save's protocol.
-func saveCollection(dir, name string, col *Collection) error {
+// sameDir reports whether a and b name one existing directory.
+func sameDir(a, b string) bool {
+	sa, err1 := os.Stat(a)
+	sb, err2 := os.Stat(b)
+	return err1 == nil && err2 == nil && os.SameFile(sa, sb)
+}
+
+// copyCollection writes collection name, as saved under from, into dir.
+func copyCollection(from, dir, name string) error {
+	var m Manifest
+	if _, err := ReadManifest(ManifestPath(from, name), &m); err != nil {
+		return err
+	}
+	src := slices.Clone(m.Docs)
+	return writeCollection(dir, name, m, func(i int, path string) error {
+		f, err := os.Open(IxPath(from, name, src[i].File))
+		if err != nil {
+			return fmt.Errorf("catalog: %w", err)
+		}
+		defer f.Close()
+		return WriteSynced(path, f)
+	})
+}
+
+// writeCollection writes one collection following Save's protocol: m
+// carries the manifest's options and document ids, and write(i, path)
+// creates document i's index file at path.
+func writeCollection(dir, name string, m Manifest, write func(i int, path string) error) error {
 	var old Manifest
 	if _, err := ReadManifest(ManifestPath(dir, name), &old); err != nil {
 		// An unreadable manifest names nothing reliably: start over.
@@ -300,13 +361,12 @@ func saveCollection(dir, name string, col *Collection) error {
 	if err := Sweep(dir, name, &old); err != nil {
 		return err
 	}
-	m := Manifest{Spec: col.spec.Encode(), TauMin: col.tauMin, LongCap: col.longCap, Next: old.Next,
-		Docs: make([]ManifestDoc, col.docs)}
-	for i, ix := range col.DocIndexes() {
-		if err := WriteSynced(IxPath(dir, name, m.Next), ix); err != nil {
+	m.Next = old.Next
+	for i := range m.Docs {
+		if err := write(i, IxPath(dir, name, m.Next)); err != nil {
 			return err
 		}
-		m.Docs[i] = ManifestDoc{ID: DocID(i), File: m.Next}
+		m.Docs[i].File = m.Next
 		m.Next++
 	}
 	if err := SyncDir(IxDir(dir, name)); err != nil {
@@ -319,9 +379,9 @@ func saveCollection(dir, name string, col *Collection) error {
 }
 
 // pruneCache removes the entries of collections the catalog no longer
-// holds — <name>.manifest with <name>.ix/ — and every directory of the
-// layout before manifests, recognised by its manifest.gob file name alone.
-// Unrelated entries are left alone.
+// holds, resident or evicted — <name>.manifest with <name>.ix/ — and every
+// directory of the layout before manifests, recognised by its manifest.gob
+// file name alone. Unrelated entries are left alone.
 func (c *Catalog) pruneCache(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -332,7 +392,7 @@ func (c *Catalog) pruneCache(dir string) error {
 		name, isManifest := strings.CutSuffix(e.Name(), ".manifest")
 		if _, err := os.Stat(filepath.Join(dir, e.Name(), "manifest.gob")); e.IsDir() && err == nil {
 			stale = []string{filepath.Join(dir, e.Name())}
-		} else if isManifest && !e.IsDir() && c.colls[name] == nil {
+		} else if _, cold := c.cold[name]; isManifest && !e.IsDir() && c.colls[name] == nil && !cold {
 			stale = []string{ManifestPath(dir, name), IxDir(dir, name)}
 		}
 		for _, p := range stale {

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/factor"
@@ -29,17 +27,22 @@ import (
 //     It stands in for the Pos array and for the C array's zero counts,
 //     both of which depend only on which factor a position lies in.
 //
-// Queries retrieve the suffix range by backward search, then scan it:
-// every entry is located through the LF walk, its window probability is
-// computed from the same prefix sums the plain engine uses, and per-key
-// keep-max dedup reproduces the duplicate-elimination bitmaps' effect. The
-// probability arithmetic is identical float64 operations on identical
-// inputs, so results are bit-identical to the plain backend's — at a query
-// cost of O(m log σ + range·(rate/2)·log σ) instead of O(m + occ): one
-// wavelet descent per backward-search step and per LF hop, 1.5 hops per
-// located row at the default rate of 4. On the standard workload
-// (BENCH_4.json) that is ≈ 1.2–1.4× the plain backend's latency for m ≥ 4
-// and ≈ 2× at m = 2, where the range is widest, for ≈ 5× fewer index bytes.
+// Queries retrieve the suffix range by backward search, then scan it in
+// one pass. The first backward-search step reads the cumulative counts, the
+// others are one wavelet descent each. A row then costs one locate (an LF
+// walk to the nearest sample) and one rank on the position map, which gives
+// the row's original position and run; the window's own marked bits give
+// its liveness, and its probability is the difference of the same prefix
+// sums the plain engine uses, tested against log(τ) taken once per query.
+// A pooled keep-max table indexed by original position reproduces the
+// duplicate-elimination bitmaps' effect, ties to the first row in
+// suffix-array order. The probability arithmetic is identical float64
+// operations on identical inputs, so results are bit-identical to the
+// plain backend's — at a query cost of O(m log σ + range·(rate/2)·log σ)
+// instead of O(m + occ): 1.5 LF hops per located row at the default rate
+// of 4. On the standard workload (BENCH_4.json) that is ≈ 1.3–1.6× the
+// plain backend's latency for m ≥ 4 and ≈ 1.75× at m = 2, where the range
+// is widest, for ≈ 5× fewer index bytes.
 //
 // The FM-index reserves byte 0xFF; a document whose transformed text uses it
 // cannot be compressed and Build fails (the plain backend has no such
@@ -57,10 +60,9 @@ type CompressedIndex struct {
 
 	// Correlation support: corrAdjust reads the raw transformed text and
 	// per-position log probabilities, so both are retained — but only when
-	// the source declares correlations.
+	// the source declares correlations (t is nil otherwise).
 	t    []byte
 	logp []float64
-	corr func(xStart, length int) float64
 
 	// Format-4 support. When the index was opened from a flat envelope the
 	// query structures above are views into env's bytes (mmap'd or heap)
@@ -85,7 +87,7 @@ func BuildCompressed(s *ustring.String, tauMin float64, opts ...Option) (*Compre
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid input string: %w", err)
 	}
-	tr, err := factor.Transform(s, tauMin)
+	tr, err := transform(s, tauMin)
 	if err != nil {
 		return nil, err
 	}
@@ -125,83 +127,54 @@ func newCompressed(s *ustring.String, tauMin float64, longCap, rate int, tr *fac
 	if len(s.Corr) > 0 {
 		cx.t = tr.T
 		cx.logp = tr.LogP
-		cx.corr = cx.corrAdjust
 	}
 	return cx, nil
 }
 
-// corrAdjust routes through the package's shared correlation-correction
-// arithmetic (see index.go) over the retained arrays, keeping corrected
-// probabilities bit-identical across backends by construction.
-func (cx *CompressedIndex) corrAdjust(xStart, length int) float64 {
-	return corrAdjust(cx.src, cx.t, cx.logp, cx.fmap.Pos(xStart), xStart, length)
-}
-
-// windowLogProb is the corrected log probability of the length-m window at
-// text position x — the compressed counterpart of Engine.rawCi, computed
-// from the identical prefix sums: prob.Prefix.Span with the zero-count test
-// replaced by the map's run test.
-func (cx *CompressedIndex) windowLogProb(x, m int) float64 {
-	if x < 0 || x+m >= len(cx.sums) || cx.fmap.Run(x+m) != cx.fmap.Run(x) {
-		return prob.LogZero
-	}
-	lp := cx.sums[x+m] - cx.sums[x]
-	if cx.corr != nil {
-		lp += cx.corr(x, m)
-	}
-	return lp
-}
-
-// bestPerKey scans the suffix range of p and keeps, per dedup key (original
+// scan walks the suffix range of p and keeps, per dedup key (original
 // position), the most probable window above tau (0 keeps every live window)
 // — ties resolved to the first entry in suffix-array order, exactly like the
-// plain engine's duplicate bitmaps and scan paths. Windows at or below tau
-// are dropped before the sort: a key's maximum passes iff any of its windows
-// does, so the surviving Hit per key is the one keep-max-then-filter picks.
-// Results come back in key order; callers whose contract includes another
-// ordering sort (Count does not, and Search re-sorts by position anyway).
-func (cx *CompressedIndex) bestPerKey(p []byte, tau float64, st *QueryStats) []Hit {
+// plain engine's duplicate bitmaps and scan paths. A row costs one locate
+// and one position-map rank: the rank gives the key and the run, the
+// window's own marked bits give liveness, and the log probability is the
+// difference of the identical prefix sums the plain engine's prob.Prefix
+// holds. The returned table holds the survivors in first-seen order; the
+// caller copies out what it needs and releases it.
+func (cx *CompressedIndex) scan(p []byte, tau float64, st *QueryStats) *keepMax {
 	lo, hi, ok, steps := cx.fm.RangeCount(p)
 	if !ok {
 		st.add(0, int64(steps), int64(steps)*fmStepBytes)
 		return nil
 	}
 	m := len(p)
+	thr := prob.NewThreshold(tau)
+	km := getKeepMax(cx.srcLen)
 	var hops int64
-	hits := make([]Hit, 0, hi-lo+1) // every window above tau, in suffix-array order
 	for j := lo; j <= hi; j++ {
 		x, h := cx.fm.LocateCount(j)
 		hops += int64(h)
-		lp := cx.windowLogProb(int(x), m)
-		if !prob.Greater(lp, tau) {
+		xi := int(x)
+		if xi+m >= len(cx.sums) {
 			continue
 		}
-		k := cx.fmap.Pos(int(x))
-		if k < 0 || k >= cx.srcLen {
-			continue // only reachable over corrupt (unverified mapped) data
+		k, live := cx.fmap.Window(xi, m)
+		if !live || k < 0 || k >= cx.srcLen {
+			continue // out-of-range keys only over corrupt (unverified mapped) data
 		}
-		hits = append(hits, Hit{XPos: x, Orig: int32(k), Key: int32(k), LogProb: lp})
+		lp := cx.sums[xi+m] - cx.sums[xi]
+		if cx.t != nil {
+			// The shared correction (index.go) keeps corrected
+			// probabilities bit-identical across backends.
+			lp += corrAdjust(cx.src, cx.t, cx.logp, k, xi, m)
+		}
+		if thr.Passes(lp) {
+			km.keep(Hit{XPos: x, Orig: int32(k), Key: int32(k), LogProb: lp})
+		}
 	}
 	scanned := int64(hi - lo + 1)
 	st.add(scanned, int64(steps)+hops,
 		int64(steps)*fmStepBytes+hops*fmHopBytes+scanned*fmCandidateBytes)
-	// The stable sort keeps suffix-array order within a key, so replacing
-	// only on a strictly greater probability leaves ties with the first.
-	slices.SortStableFunc(hits, func(a, b Hit) int { return cmp.Compare(a.Key, b.Key) })
-	out := hits[:0]
-	for _, h := range hits {
-		if n := len(out); n > 0 && out[n-1].Key == h.Key {
-			if h.LogProb > out[n-1].LogProb {
-				out[n-1] = h
-			}
-			continue
-		}
-		out = append(out, h)
-	}
-	if len(out) == 0 {
-		return nil // like the plain backend, not an empty slice
-	}
-	return out
+	return km
 }
 
 // Search reports every starting position where p occurs with probability
@@ -210,15 +183,17 @@ func (cx *CompressedIndex) Search(p []byte, tau float64) ([]int, error) {
 	if err := ValidateQuery(p, tau, cx.tauMin); err != nil {
 		return nil, err
 	}
-	hits := cx.bestPerKey(p, tau, nil)
-	if len(hits) == 0 {
+	km := cx.scan(p, tau, nil)
+	if km == nil || len(km.hits) == 0 {
+		km.release()
 		return nil, nil
 	}
-	out := make([]int, len(hits))
-	for i, h := range hits {
+	out := make([]int, len(km.hits))
+	for i, h := range km.hits {
 		out[i] = int(h.Orig)
 	}
-	sort.Ints(out)
+	km.release()
+	slices.Sort(out)
 	return out, nil
 }
 
@@ -234,7 +209,9 @@ func (cx *CompressedIndex) SearchHitsCosted(p []byte, tau float64, st *QueryStat
 	if err := ValidateQuery(p, tau, cx.tauMin); err != nil {
 		return nil, err
 	}
-	hits := cx.bestPerKey(p, tau, st)
+	km := cx.scan(p, tau, st)
+	hits := km.clone()
+	km.release()
 	sortHitsByProb(hits)
 	return hits, nil
 }
@@ -255,11 +232,12 @@ func (cx *CompressedIndex) SearchTopKCosted(p []byte, k int, st *QueryStats) ([]
 	if k <= 0 {
 		return nil, nil
 	}
-	hits := cx.bestPerKey(p, 0, st)
-	sortHitsByProb(hits)
-	if len(hits) > k {
-		hits = hits[:k]
+	km := cx.scan(p, 0, st)
+	if km == nil {
+		return nil, nil
 	}
+	hits := topKHits(km.hits, k)
+	km.release()
 	return hits, nil
 }
 
@@ -274,7 +252,13 @@ func (cx *CompressedIndex) SearchCountCosted(p []byte, tau float64, st *QuerySta
 	if err := ValidateQuery(p, tau, cx.tauMin); err != nil {
 		return 0, err
 	}
-	return len(cx.bestPerKey(p, tau, st)), nil
+	km := cx.scan(p, tau, st)
+	if km == nil {
+		return 0, nil
+	}
+	n := len(km.hits)
+	km.release()
+	return n, nil
 }
 
 // TauMin returns the construction threshold.

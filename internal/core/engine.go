@@ -110,6 +110,7 @@ type Engine struct {
 	pre  *prob.Prefix
 	pos  []int32
 	key  []int32
+	keys int // exclusive bound on key values, sizing the keep-max tables
 	corr func(xStart, length int) float64
 
 	levels  int // number of short levels (the paper's log N)
@@ -137,6 +138,11 @@ func NewEngine(cfg EngineConfig) *Engine {
 		key:     cfg.Key,
 		corr:    cfg.Corr,
 		longCap: EffectiveLongCap(cfg.LongCap),
+	}
+	// KeySpace may be 0 to skip the duplicate bitmaps (keys already
+	// unique), so the keep-max bound comes from the keys themselves.
+	for _, k := range cfg.Key {
+		e.keys = max(e.keys, int(k)+1)
 	}
 	if n == 0 {
 		return e
@@ -352,20 +358,49 @@ func (e *Engine) QueryCosted(p []byte, tau float64, st *QueryStats) ([]Hit, erro
 		return nil, nil
 	}
 	m := len(p)
+	if m > e.levels {
+		km := e.queryKeepMax(m, lo, hi, tau, st)
+		hits := km.clone()
+		km.release()
+		return hits, nil
+	}
 	var hits []Hit
-	report := func(j int, lp float64) {
+	e.queryShort(m, lo, hi, tau, func(j int, lp float64) {
 		x := e.tx.SA()[j]
 		hits = append(hits, Hit{XPos: x, Orig: e.pos[x], Key: e.key[x], LogProb: lp})
-	}
-	switch {
-	case m <= e.levels:
-		e.queryShort(m, lo, hi, tau, report, st)
-	case m <= e.longHi:
-		e.queryLong(m, lo, hi, tau, report, st)
-	default:
-		e.queryScan(m, lo, hi, tau, report, st)
-	}
+	}, st)
 	return hits, nil
+}
+
+// queryKeepMax answers a pattern longer than the short levels into a
+// keep-max table: by the blocking scheme where a level covers m, by a
+// straight scan beyond. The caller releases the table.
+func (e *Engine) queryKeepMax(m, lo, hi int, tau float64, st *QueryStats) *keepMax {
+	km := getKeepMax(e.keys)
+	if m <= e.longHi {
+		e.queryLong(km, m, lo, hi, tau, st)
+	} else {
+		e.scanInto(km, m, lo, hi, prob.NewThreshold(tau))
+		scanned := int64(hi - lo + 1)
+		st.add(scanned, 0, scanned*plainCandidateBytes)
+	}
+	return km
+}
+
+// scanInto offers every entry of the suffix-array rows [l, r] whose
+// length-m window passes thr to km, keyed by its dedup key.
+func (e *Engine) scanInto(km *keepMax, m, l, r int, thr prob.Threshold) {
+	for j := l; j <= r; j++ {
+		lp := e.rawCi(m, j)
+		if !thr.Passes(lp) {
+			continue
+		}
+		x := e.tx.SA()[j]
+		// A live window never starts at a keyless (separator) position.
+		if k := e.key[x]; uint(k) < uint(e.keys) {
+			km.keep(Hit{XPos: x, Orig: e.pos[x], Key: k, LogProb: lp})
+		}
+	}
 }
 
 // queryShort is the optimal O(m + occ) recursive range-maximum extraction of
@@ -373,6 +408,7 @@ func (e *Engine) QueryCosted(p []byte, tau float64, st *QueryStats) ([]Hit, erro
 // its depth equals the number of reported entries.
 func (e *Engine) queryShort(m, lo, hi int, tau float64, report func(j int, lp float64), st *QueryStats) {
 	level := e.short[m-1]
+	thr := prob.NewThreshold(tau)
 	type span struct{ l, r int }
 	stack := []span{{lo, hi}}
 	var pops int64
@@ -385,7 +421,7 @@ func (e *Engine) queryShort(m, lo, hi int, tau float64, report func(j int, lp fl
 		pops++
 		j := level.Max(s.l, s.r)
 		lp := e.ci(m, j)
-		if !prob.Greater(lp, tau) {
+		if !thr.Passes(lp) {
 			continue
 		}
 		report(j, lp)
@@ -397,8 +433,8 @@ func (e *Engine) queryShort(m, lo, hi int, tau float64, report func(j int, lp fl
 // queryLong is the O(m·occ) blocking scheme of Section 4.2: recursive
 // range-maximum over block maxima; every qualifying block is scanned in
 // full. Partial boundary blocks are scanned directly. Duplicate keys are
-// eliminated at reporting time (the bitmaps only cover short levels).
-func (e *Engine) queryLong(m, lo, hi int, tau float64, report func(j int, lp float64), st *QueryStats) {
+// eliminated in km (the bitmaps only cover short levels).
+func (e *Engine) queryLong(km *keepMax, m, lo, hi int, tau float64, st *QueryStats) {
 	idx := m - e.longLo
 	blockRMQ := e.longRMQ[idx]
 	pb := e.longPB[idx]
@@ -406,23 +442,12 @@ func (e *Engine) queryLong(m, lo, hi int, tau float64, report func(j int, lp flo
 	// threshold test by a hair and re-verify entries exactly.
 	logTau := math.Log(tau)
 	const f32Slack = 1e-4
+	thr := prob.NewThreshold(tau)
 
 	var scanned, blockPops int64
-	best := map[int32]Hit{} // dedup key → best hit
 	scanEntries := func(l, r int) {
-		for j := l; j <= r; j++ {
-			scanned++
-			lp := e.rawCi(m, j)
-			if !prob.Greater(lp, tau) {
-				continue
-			}
-			x := e.tx.SA()[j]
-			k := e.key[x]
-			h := Hit{XPos: x, Orig: e.pos[x], Key: k, LogProb: lp}
-			if prev, ok := best[k]; !ok || lp > prev.LogProb {
-				best[k] = h
-			}
-		}
+		scanned += int64(max(r-l+1, 0))
+		e.scanInto(km, m, l, r, thr)
 	}
 
 	bFirst := lo / m
@@ -457,36 +482,6 @@ func (e *Engine) queryLong(m, lo, hi int, tau float64, report func(j int, lp flo
 		}
 	}
 	st.add(scanned, blockPops, scanned*plainCandidateBytes+blockPops*plainBlockBytes)
-	for _, h := range best {
-		report(int(e.tx.Rank()[h.XPos]), h.LogProb)
-	}
-}
-
-// queryScan is the fallback for patterns longer than every block level: a
-// straight scan of the suffix range with keep-max dedup.
-func (e *Engine) queryScan(m, lo, hi int, tau float64, report func(j int, lp float64), st *QueryStats) {
-	best := map[int32]struct {
-		j  int
-		lp float64
-	}{}
-	for j := lo; j <= hi; j++ {
-		lp := e.rawCi(m, j)
-		if !prob.Greater(lp, tau) {
-			continue
-		}
-		k := e.key[e.tx.SA()[j]]
-		if prev, ok := best[k]; !ok || lp > prev.lp {
-			best[k] = struct {
-				j  int
-				lp float64
-			}{j, lp}
-		}
-	}
-	scanned := int64(hi - lo + 1)
-	st.add(scanned, 0, scanned*plainCandidateBytes)
-	for _, b := range best {
-		report(b.j, b.lp)
-	}
 }
 
 // Text exposes the underlying suffix structure (used by the listing index

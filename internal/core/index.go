@@ -50,7 +50,7 @@ func Build(s *ustring.String, tauMin float64, opts ...Option) (*Index, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid input string: %w", err)
 	}
-	tr, err := factor.Transform(s, tauMin)
+	tr, err := transform(s, tauMin)
 	if err != nil {
 		return nil, err
 	}
@@ -70,6 +70,35 @@ func Build(s *ustring.String, tauMin float64, opts ...Option) (*Index, error) {
 		MaxWindow: tr.MaxFactorLen,
 	})
 	return ix, nil
+}
+
+// transform is factor.Transform plus the one adjustment correlations need.
+// A correlated character whose base probability is 0 stays in the factors
+// when pr⁺ or pr⁻ makes it viable, but a LogZero base would poison every
+// window over it before corrAdjust could replace that base by the corrected
+// probability. Such positions get the neutral base 0 (probability 1)
+// instead: corrAdjust subtracts the base it finds, so a window over one
+// scores its corrected probability, as ustring.OccurrenceProb does.
+func transform(s *ustring.String, tauMin float64) (*factor.Transformed, error) {
+	tr, err := factor.Transform(s, tauMin)
+	if err != nil || len(s.Corr) == 0 {
+		return tr, err
+	}
+	zero := make(map[int]bool)
+	for _, c := range s.Corr {
+		if s.ProbAt(c.At, c.Char) == 0 {
+			zero[c.At<<8|int(c.Char)] = true
+		}
+	}
+	if len(zero) == 0 {
+		return tr, nil
+	}
+	for x, lp := range tr.LogP {
+		if i := tr.Pos[x]; lp == prob.LogZero && i >= 0 && zero[int(i)<<8|int(tr.T[x])] {
+			tr.LogP[x] = 0
+		}
+	}
+	return tr, nil
 }
 
 // corrAdjust returns the log-domain correction factor turning the base

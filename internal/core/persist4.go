@@ -384,7 +384,6 @@ func backendFromEnvelope(env *mapped.Envelope, eager bool) (Backend, error) {
 		}
 		cx.t = t
 		cx.logp = logp
-		cx.corr = cx.corrAdjust
 		cx.Source() // force materialisation; corrAdjust needs cx.src
 	}
 	if eager {

@@ -415,7 +415,8 @@ func FuzzReadBackend(f *testing.F) {
 // fast path opens it — structure validated, checksums not — so corrupt rank
 // words, samples and prefix sums reach backward search, the LF walks and the
 // window arithmetic. Such an index may mis-answer; it must never panic, and
-// every walk must terminate.
+// every walk must terminate, and the keep-max table the scan fills is
+// sized by a source length the envelope's own bytes back.
 func FuzzQuery(f *testing.F) {
 	s := gen.Single(gen.Config{N: 150, Theta: 0.3, Seed: 443})
 	cx, err := BuildCompressed(s, 0.1)
@@ -453,6 +454,11 @@ func FuzzQuery(f *testing.F) {
 		b, err := backendFromEnvelope(e, false)
 		if err != nil {
 			return
+		}
+		// The keep-max table is sized by the source length, which the
+		// source offsets region (4 bytes per entry) must back.
+		if sl := SourceLen(b); 4*sl > len(data) {
+			t.Fatalf("source length %d is not backed by a %d-byte envelope", sl, len(data))
 		}
 		_, _ = b.SearchHits(p, tau)
 		_, _ = b.SearchTopK(p, k)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/prob"
 )
@@ -114,39 +116,131 @@ func (e *Engine) TopKCosted(p []byte, k int, st *QueryStats) ([]Hit, error) {
 func (e *Engine) topKLong(p []byte, m, lo, hi, k int, st *QueryStats) ([]Hit, error) {
 	scanned := int64(hi - lo + 1)
 	st.add(scanned, 0, scanned*plainCandidateBytes)
-	best := map[int32]Hit{}
-	for j := lo; j <= hi; j++ {
-		lp := e.rawCi(m, j)
-		if lp == prob.LogZero {
-			continue
-		}
-		x := e.tx.SA()[j]
-		key := e.key[x]
-		if prev, ok := best[key]; !ok || lp > prev.LogProb {
-			best[key] = Hit{XPos: x, Orig: e.pos[x], Key: key, LogProb: lp}
-		}
-	}
-	out := make([]Hit, 0, len(best))
-	for _, h := range best {
-		out = append(out, h)
-	}
-	// Partial selection: k is typically tiny relative to the range.
-	sortHitsByProb(out)
-	if len(out) > k {
-		out = out[:k]
-	}
+	km := getKeepMax(e.keys)
+	e.scanInto(km, m, lo, hi, prob.NewThreshold(0))
+	out := topKHits(km.hits, k)
+	km.release()
 	return out, nil
 }
 
-// sortHitsByProb orders hits by decreasing probability (stable on position
-// for determinism).
-func sortHitsByProb(hs []Hit) {
-	sort.Slice(hs, func(a, b int) bool {
-		if hs[a].LogProb != hs[b].LogProb {
-			return hs[a].LogProb > hs[b].LogProb
+// sortHitsByProb orders hits canonically: decreasing probability, ties by
+// increasing original position.
+func sortHitsByProb(hs []Hit) { slices.SortFunc(hs, compareHits) }
+
+// compareHits is the canonical order of hits as a comparison function.
+func compareHits(a, b Hit) int {
+	switch {
+	case a.LogProb > b.LogProb:
+		return -1
+	case a.LogProb < b.LogProb:
+		return 1
+	}
+	return cmp.Compare(a.Orig, b.Orig)
+}
+
+// topKHits returns the k best of hs under the canonical order, best first,
+// in a fresh slice (nil when hs is empty). A bounded heap keeps the k best
+// seen so far with the worst at its root, so a hit that cannot enter costs
+// one comparison: O(len(hs) + k log k) against a full sort's
+// O(len(hs) log len(hs)).
+func topKHits(hs []Hit, k int) []Hit {
+	if len(hs) == 0 || k <= 0 {
+		return nil
+	}
+	if len(hs) <= k {
+		out := slices.Clone(hs)
+		sortHitsByProb(out)
+		return out
+	}
+	h := slices.Clone(hs[:k])
+	for i := k/2 - 1; i >= 0; i-- {
+		siftWorst(h, i)
+	}
+	for _, x := range hs[k:] {
+		if compareHits(x, h[0]) < 0 {
+			h[0] = x
+			siftWorst(h, 0)
 		}
-		return hs[a].Orig < hs[b].Orig
-	})
+	}
+	sortHitsByProb(h)
+	return h
+}
+
+// siftWorst restores, below i, the heap order of topKHits: every hit
+// precedes its parent canonically, so the root is the worst hit kept.
+func siftWorst(h []Hit, i int) {
+	for {
+		w := i
+		if l := 2*i + 1; l < len(h) && compareHits(h[l], h[w]) > 0 {
+			w = l
+		}
+		if r := 2*i + 2; r < len(h) && compareHits(h[r], h[w]) > 0 {
+			w = r
+		}
+		if w == i {
+			return
+		}
+		h[i], h[w] = h[w], h[i]
+		i = w
+	}
+}
+
+// keepMax is a query's per-key keep-max table: slot[k] is one more than
+// the index in hits of key k's best hit so far, 0 while k has none. A later
+// offer replaces a key's hit only on a strictly greater probability, so of
+// tied windows the first offered survives — in a scan in suffix-array
+// order, the entry the plain engine's duplicate bitmaps keep. Tables are
+// pooled; release clears the slots through hits, so a pooled table is all
+// zeros.
+type keepMax struct {
+	slot []int32
+	hits []Hit
+}
+
+var keepMaxPool = sync.Pool{New: func() any { return new(keepMax) }}
+
+// getKeepMax returns an empty table for keys in [0, keys). keys must be a
+// validated bound — the source length of a checked envelope, never a field
+// read straight from untrusted bytes.
+func getKeepMax(keys int) *keepMax {
+	km := keepMaxPool.Get().(*keepMax)
+	if len(km.slot) < keys {
+		km.slot = make([]int32, keys)
+	}
+	return km
+}
+
+// keep offers hit h for its key, which the caller has checked against the
+// table's bound.
+func (km *keepMax) keep(h Hit) {
+	if s := km.slot[h.Key]; s == 0 {
+		km.hits = append(km.hits, h)
+		km.slot[h.Key] = int32(len(km.hits))
+	} else if h.LogProb > km.hits[s-1].LogProb {
+		km.hits[s-1] = h
+	}
+}
+
+// clone copies the kept hits out of the table (nil when there are none, as
+// from a nil table).
+func (km *keepMax) clone() []Hit {
+	if km == nil || len(km.hits) == 0 {
+		return nil
+	}
+	return slices.Clone(km.hits)
+}
+
+// release empties the table and returns it to the pool. A nil table is a
+// no-op.
+func (km *keepMax) release() {
+	if km == nil {
+		return
+	}
+	for _, h := range km.hits {
+		km.slot[h.Key] = 0
+	}
+	km.hits = km.hits[:0]
+	keepMaxPool.Put(km)
 }
 
 // Count returns the number of non-duplicate occurrences of p with
@@ -182,17 +276,9 @@ func (e *Engine) iterate(p []byte, tau float64, visit func(Hit) bool, st *QueryS
 	m := len(p)
 	if m > e.levels {
 		// Long patterns: reuse the existing paths, then stream the batch.
-		var hits []Hit
-		collect := func(j int, lp float64) {
-			x := e.tx.SA()[j]
-			hits = append(hits, Hit{XPos: x, Orig: e.pos[x], Key: e.key[x], LogProb: lp})
-		}
-		if m <= e.longHi {
-			e.queryLong(m, lo, hi, tau, collect, st)
-		} else {
-			e.queryScan(m, lo, hi, tau, collect, st)
-		}
-		for _, h := range hits {
+		km := e.queryKeepMax(m, lo, hi, tau, st)
+		defer km.release()
+		for _, h := range km.hits {
 			if !visit(h) {
 				return nil
 			}
@@ -202,6 +288,7 @@ func (e *Engine) iterate(p []byte, tau float64, visit func(Hit) bool, st *QueryS
 	// Short patterns: best-first heap gives globally decreasing order with
 	// early termination.
 	level := e.short[m-1]
+	thr := prob.NewThreshold(tau)
 	var h fragHeap
 	var pushes int64
 	push := func(l, r int) {
@@ -210,7 +297,7 @@ func (e *Engine) iterate(p []byte, tau float64, visit func(Hit) bool, st *QueryS
 		}
 		pushes++
 		j := level.Max(l, r)
-		if lp := e.ci(m, j); prob.Greater(lp, tau) {
+		if lp := e.ci(m, j); thr.Passes(lp) {
 			heap.Push(&h, fragment{l, r, j, lp})
 		}
 	}

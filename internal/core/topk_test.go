@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -173,6 +174,30 @@ func TestIterateLongPattern(t *testing.T) {
 		sort.Ints(got)
 		if !equalIntSlices(got, want) {
 			t.Fatalf("Iterate long = %v, Search = %v", got, want)
+		}
+	}
+}
+
+// topKHits must return exactly what a full canonical sort cut to k returns,
+// ties on probability included.
+func TestTopKHitsMatchesSort(t *testing.T) {
+	for n := 0; n <= 40; n++ {
+		hs := make([]Hit, n)
+		for i := range hs {
+			// Few distinct probabilities, so ties cross the cut.
+			hs[i] = Hit{Orig: int32((i * 7919) % 101), LogProb: -float64((i * 31) % 5)}
+		}
+		want := append([]Hit(nil), hs...)
+		sortHitsByProb(want)
+		for _, k := range []int{1, 2, 5, n, n + 3} {
+			got := topKHits(hs, k)
+			w := want[:min(k, n)]
+			if len(w) == 0 {
+				w = nil
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("n=%d k=%d: topKHits = %v, sorted cut %v", n, k, got, w)
+			}
 		}
 	}
 }

@@ -87,5 +87,21 @@ func (m *Map) Pos(x int) int {
 	return x + int(m.delta[g])
 }
 
+// Window is Pos(x) together with the liveness of the window [x, x+length)
+// from one rank: the run comes from the rank at x, and the window is live
+// iff none of its own marked bits is set — Run(x+length) == Run(x) without
+// the second rank. ok is false for a dead window, one leaving the text, or
+// a run with no delta (reachable only over corrupt bit words).
+func (m *Map) Window(x, length int) (pos int, ok bool) {
+	if x < 0 || length < 0 || x+length > m.bits.Len() {
+		return -1, false
+	}
+	g := m.bits.Rank1(x)
+	if g >= len(m.delta) || m.bits.AnySet(x, x+length) {
+		return -1, false
+	}
+	return x + int(m.delta[g]), true
+}
+
 // Bytes reports the memory footprint.
 func (m *Map) Bytes() int { return m.bits.Bytes() + len(m.delta)*4 }

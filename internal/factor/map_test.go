@@ -12,7 +12,8 @@ import (
 
 // checkMapAgainstArrays holds a Map to the two per-position arrays it
 // replaces: Pos at every unmarked position, and Prefix.Span's dead/live
-// verdict for every window up to one past the longest factor.
+// verdict for every window up to one past the longest factor — through
+// Run and through the one-rank Window alike.
 func checkMapAgainstArrays(t *testing.T, tr *Transformed, m *Map) {
 	t.Helper()
 	pre := prob.NewPrefix(tr.LogP)
@@ -30,6 +31,14 @@ func checkMapAgainstArrays(t *testing.T, tr *Transformed, m *Map) {
 			live := m.Run(x+w) == m.Run(x)
 			if want := pre.Span(x, x+w) != prob.LogZero; live != want {
 				t.Fatalf("window [%d,%d): live = %v, Prefix.Span says %v", x, x+w, live, want)
+			}
+			if w > 16 && w <= tr.MaxFactorLen {
+				// Windows up to 16 already cross every word boundary;
+				// the one past the longest factor covers the long spans.
+				continue
+			}
+			if pos, ok := m.Window(x, w); ok != live || ok && pos != m.Pos(x) {
+				t.Fatalf("Window(%d, %d) = (%d, %v), want (%d, %v)", x, w, pos, ok, m.Pos(x), live)
 			}
 		}
 	}

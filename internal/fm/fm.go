@@ -121,9 +121,12 @@ func (ix *Index) Range(p []byte) (lo, hi int, ok bool) {
 	return lo, hi, ok
 }
 
-// RangeCount is Range plus the number of backward-search steps taken (each
-// step is one two-boundary wavelet-tree descent) — the wavelet-step count
-// cost attribution charges as suffix steps.
+// RangeCount is Range plus the number of backward-search steps taken — the
+// count cost attribution charges as suffix steps. Every step after the
+// first is one two-boundary wavelet-tree descent. The first needs none:
+// from all n+1 rows, the rows of the last pattern symbol c are exactly
+// [counts[c], counts[c+1]), so it reads two cumulative counts; it still
+// counts as one step.
 func (ix *Index) RangeCount(p []byte) (lo, hi int, ok bool, steps int) {
 	if len(p) == 0 {
 		if ix.n == 0 {
@@ -140,8 +143,12 @@ func (ix *Index) RangeCount(p []byte) (lo, hi int, ok bool, steps int) {
 		c := p[i] + 1
 		base := int(ix.counts[c])
 		steps++
-		rl, rr := ix.bwt.Rank2(c, l, r)
-		l, r = base+rl, base+rr
+		if i == len(p)-1 {
+			l, r = base, int(ix.counts[c+1])
+		} else {
+			rl, rr := ix.bwt.Rank2(c, l, r)
+			l, r = base+rl, base+rr
+		}
 		// With a well-formed index l and r stay within [0, n+1]; over
 		// corrupt (e.g. unverified mapped) data the ranks can push them
 		// outside the row range, so clamp before they are used as row

@@ -78,6 +78,30 @@ func Greater(lp, tau float64) bool {
 	return lp > math.Log(tau)+Eps
 }
 
+// Threshold is Greater against one fixed tau with log(tau) taken once, for
+// query loops that test many windows against the same threshold:
+// NewThreshold(tau).Passes(lp) == Greater(lp, tau) for every lp and tau.
+type Threshold struct {
+	logTau float64 // log(tau)+Eps
+	all    bool    // tau ≤ 0: every non-zero probability passes
+}
+
+// NewThreshold prepares the test of the plain-domain threshold tau.
+func NewThreshold(tau float64) Threshold {
+	if tau <= 0 {
+		return Threshold{all: true}
+	}
+	return Threshold{logTau: math.Log(tau) + Eps}
+}
+
+// Passes reports Greater(lp, tau) for the threshold's tau.
+func (t Threshold) Passes(lp float64) bool {
+	if lp == LogZero {
+		return false
+	}
+	return t.all || lp > t.logTau
+}
+
 // Prefix is the log-domain successive multiplicative probability array: the
 // paper's C array. Prefix[i] holds the sum of logs of the first i
 // probabilities, so the probability of the half-open span [i, j) is

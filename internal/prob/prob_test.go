@@ -206,3 +206,22 @@ func TestPrefixBytes(t *testing.T) {
 		t.Error("Bytes must be positive")
 	}
 }
+
+// A Threshold must decide exactly as Greater does, at the Eps band's edges
+// and on the special values included.
+func TestThresholdMatchesGreater(t *testing.T) {
+	taus := []float64{-1, 0, 1e-300, 0.1, 0.5, 1, math.NaN()}
+	for _, tau := range taus {
+		thr := NewThreshold(tau)
+		lps := []float64{LogZero, math.Inf(1), math.NaN(), -1e300, 0, -0.5, math.Log(0.5)}
+		if tau > 0 {
+			edge := math.Log(tau) + Eps
+			lps = append(lps, edge, math.Nextafter(edge, 1), math.Nextafter(edge, -1))
+		}
+		for _, lp := range lps {
+			if got, want := thr.Passes(lp), Greater(lp, tau); got != want {
+				t.Errorf("NewThreshold(%v).Passes(%v) = %v, Greater says %v", tau, lp, got, want)
+			}
+		}
+	}
+}

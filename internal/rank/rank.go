@@ -124,6 +124,29 @@ func (v *Bits) Rank1Get(i int) (ones, bit int) {
 	return ones + bits.OnesCount64(w&(1<<sh-1)), int(w >> sh & 1)
 }
 
+// AnySet reports whether a bit in [lo, hi) is set (0 ≤ lo, hi ≤ Len): one
+// read per word the interval touches, no rank.
+func (v *Bits) AnySet(lo, hi int) bool {
+	if lo >= hi {
+		return false
+	}
+	first, last := lo/wordBits, (hi-1)/wordBits
+	loMask := ^uint64(0) << (uint(lo) % wordBits)
+	hiMask := ^uint64(0) >> (wordBits - 1 - uint(hi-1)%wordBits)
+	if first == last {
+		return v.words[first]&loMask&hiMask != 0
+	}
+	if v.words[first]&loMask != 0 || v.words[last]&hiMask != 0 {
+		return true
+	}
+	for _, w := range v.words[first+1 : last] {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Select1 returns the position of the (k+1)-th set bit (k ≥ 0), or -1 when
 // there are not that many. O(log n) by binary search over rank.
 func (v *Bits) Select1(k int) int {

@@ -76,6 +76,28 @@ func TestRank1GetMatchesRank1AndGet(t *testing.T) {
 	}
 }
 
+// AnySet must agree with a rank difference on every interval, across word
+// and block boundaries.
+func TestAnySetMatchesRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 63, 64, 65, 200, 513} {
+		for _, density := range []int{2, 40} {
+			bs := make([]bool, n)
+			for i := range bs {
+				bs[i] = rng.Intn(density) == 0
+			}
+			v := FromBools(bs)
+			for lo := 0; lo <= n; lo++ {
+				for hi := lo; hi <= n; hi++ {
+					if got, want := v.AnySet(lo, hi), v.Rank1(hi) > v.Rank1(lo); got != want {
+						t.Fatalf("n=%d AnySet(%d, %d) = %v, want %v", n, lo, hi, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSelectInvertsRank(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

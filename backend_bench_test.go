@@ -159,43 +159,67 @@ func BenchmarkBackendBuild(b *testing.B) {
 }
 
 var (
-	compressedShortOnce sync.Once
-	compressedShortIxs  []*core.CompressedIndex
-	compressedShortDocs []*ustring.String
+	shortBenchOnce sync.Once
+	shortBenchDocs []*ustring.String
 )
 
-// BenchmarkCompressedShort times the compressed backend's scan on the
-// serving benchmark's corpus shape — 128 documents of 1 200 positions — per
-// pattern length: one op is one pattern searched in every document,
-// directly on the core (no catalog fan-out). m = 2 has the widest suffix
-// ranges, m = 12 mostly misses. Run with -benchmem.
-func BenchmarkCompressedShort(b *testing.B) {
-	compressedShortOnce.Do(func() {
+// shortBenchCorpus is the serving benchmark's corpus shape — 128 documents
+// of 1 200 positions — shared by the per-backend short-pattern benchmarks.
+func shortBenchCorpus() []*ustring.String {
+	shortBenchOnce.Do(func() {
 		for i := 0; i < 128; i++ {
-			doc := gen.Single(gen.Config{N: backendBenchDocLen, Theta: backendBenchTheta, Seed: 1<<20 + int64(i)})
-			cx, err := core.BuildCompressed(doc, backendBenchTauMin)
-			if err != nil {
-				panic(err)
-			}
-			compressedShortDocs = append(compressedShortDocs, doc)
-			compressedShortIxs = append(compressedShortIxs, cx)
+			shortBenchDocs = append(shortBenchDocs,
+				gen.Single(gen.Config{N: backendBenchDocLen, Theta: backendBenchTheta, Seed: 1<<20 + int64(i)}))
 		}
 	})
+	return shortBenchDocs
+}
+
+// benchShort times search on the short-pattern corpus per pattern length:
+// one op is one pattern searched in every document, directly on the core
+// (no catalog fan-out). m = 2 has the widest suffix ranges, m = 12 mostly
+// misses. Run with -benchmem.
+func benchShort(b *testing.B, build func(*ustring.String) (core.Backend, error)) {
+	docs := shortBenchCorpus()
+	ixs := make([]core.Backend, len(docs))
+	for i, doc := range docs {
+		ix, err := build(doc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ixs[i] = ix
+	}
 	for _, m := range []int{2, 4, 12} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			pats := gen.CollectionPatterns(compressedShortDocs, 32, m, int64(1+m))
+			pats := gen.CollectionPatterns(docs, 32, m, int64(1+m))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := pats[i%len(pats)]
-				for _, cx := range compressedShortIxs {
-					if _, err := cx.SearchHits(p, backendBenchTau); err != nil {
+				for _, ix := range ixs {
+					if _, err := ix.SearchHits(p, backendBenchTau); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkCompressedShort times the compressed backend's scan on the
+// short-pattern corpus.
+func BenchmarkCompressedShort(b *testing.B) {
+	benchShort(b, func(doc *ustring.String) (core.Backend, error) {
+		return core.BuildCompressed(doc, backendBenchTauMin)
+	})
+}
+
+// BenchmarkPlainShort times the plain backend's suffix-range search and
+// range-maximum extraction on the short-pattern corpus.
+func BenchmarkPlainShort(b *testing.B) {
+	benchShort(b, func(doc *ustring.String) (core.Backend, error) {
+		return core.Build(doc, backendBenchTauMin)
+	})
 }
 
 // bench4Backend is one backend's measured slice of BENCH_4.json.

@@ -197,6 +197,11 @@ type Catalog struct {
 	// cold remembers evicted collections by their last Info snapshot, so
 	// listings and stats still cover them while they are unmapped.
 	cold map[string]Info
+	// saved maps a name to the id of the collection cacheDir holds under
+	// it, as last saved there or loaded from it. Only a resident collection
+	// whose id matches can be evicted: one replaced since would fault back
+	// in as the stale copy.
+	saved map[string]uint64
 }
 
 // New returns an empty catalog.
@@ -205,6 +210,7 @@ func New(opts Options) *Catalog {
 		opts:  opts.withDefaults(),
 		colls: make(map[string]*Collection),
 		cold:  make(map[string]Info),
+		saved: make(map[string]uint64),
 	}
 	if r := c.opts.Metrics; r != nil {
 		c.skipsCounter = r.Counter("ustridx_decode_skips_total",
@@ -302,7 +308,7 @@ func (c *Catalog) AddWithSpec(name string, docs []*ustring.String, spec core.Bac
 	if err != nil {
 		return nil, fmt.Errorf("catalog: collection %q: %w", name, err)
 	}
-	return c.register(name, c.opts.TauMin, c.opts.LongCap, spec, ixs), nil
+	return c.register(name, c.opts.TauMin, c.opts.LongCap, spec, ixs, false), nil
 }
 
 // RunPool runs fn(i) for every i in [0, n) on at most workers goroutines
@@ -360,14 +366,18 @@ func (c *Catalog) buildAll(docs []*ustring.String, spec core.BackendSpec) ([]cor
 }
 
 // register assembles built or loaded indexes into a collection over the
-// catalog's shards and adds it under name, replacing any previous one.
-func (c *Catalog) register(name string, tauMin float64, longCap int, spec core.BackendSpec, ixs []core.Backend) *Collection {
+// catalog's shards and adds it under name, replacing any previous one;
+// cached says the indexes were loaded from the cache directory.
+func (c *Catalog) register(name string, tauMin float64, longCap int, spec core.BackendSpec, ixs []core.Backend, cached bool) *Collection {
 	col := FromIndexes(name, tauMin, longCap, c.opts.Shards, spec, ixs)
 	col.lastUsed.Store(c.seq.Add(1))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.colls[name] = col
 	delete(c.cold, name)
+	if cached {
+		c.saved[name] = col.id
+	}
 	c.evictLocked()
 	return col
 }
@@ -462,8 +472,11 @@ func (c *Catalog) evictLocked() {
 	}
 	cands := make([]cand, 0, len(c.colls))
 	for name, col := range c.colls {
-		// Only collections present in the cache can fault back in; never
-		// evict one that would be lost.
+		// Only a collection the cache holds as it is resident can fault back
+		// in; never evict one that would be lost or come back stale.
+		if c.saved[name] != col.id {
+			continue
+		}
 		if _, err := os.Stat(ManifestPath(c.cacheDir, name)); err != nil {
 			continue
 		}

@@ -261,3 +261,38 @@ func TestSaveKeepsEvictedCollections(t *testing.T) {
 		}
 	}
 }
+
+// TestReplacedCollectionNotEvictedStale: a collection re-added under a name
+// the cache directory already holds differs from the saved copy, so the
+// HotCollections bound must not evict it — it would fault back in as the
+// stale saved version.
+func TestReplacedCollectionNotEvictedStale(t *testing.T) {
+	c := New(Options{
+		TauMin: 0.1, Shards: 2, Backend: core.BackendCompressed,
+		HotCollections: 1, EvictGrace: time.Millisecond,
+	})
+	defer c.Close()
+	if _, err := c.Add("aa", testDocs(t, 400, 11)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Save(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	fresh := testDocs(t, 400, 29)
+	col, err := c.Add("aa", fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := collGrid(t, fresh, col)
+	if _, err := c.Add("bb", testDocs(t, 400, 23)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond) // past the grace of anything evicted
+	got, ok := c.Get("aa")
+	if !ok {
+		t.Fatal("Get(aa) misses the collection")
+	}
+	if !reflect.DeepEqual(collGrid(t, fresh, got), want) {
+		t.Fatal("aa answers as its stale saved copy, not as the documents it was re-added with")
+	}
+}

@@ -273,7 +273,7 @@ func (c *Catalog) Save(dir string) error {
 	}
 	c.mu.RLock()
 	from := c.cacheDir
-	err := c.saveLocked(from, dir)
+	saved, err := c.saveLocked(from, dir)
 	c.mu.RUnlock()
 	if err != nil {
 		return err
@@ -282,21 +282,23 @@ func (c *Catalog) Save(dir string) error {
 	// somewhere to fault back in from.
 	c.mu.Lock()
 	if c.cacheDir == from {
-		c.cacheDir = dir
+		c.cacheDir, c.saved = dir, saved
 	}
 	c.mu.Unlock()
 	return nil
 }
 
 // saveLocked is Save's body under c.mu's read lock; from is the directory
-// cold collections were evicted to.
-func (c *Catalog) saveLocked(from, dir string) error {
+// cold collections were evicted to. It returns the ids of the collections
+// written, by name.
+func (c *Catalog) saveLocked(from, dir string) (map[string]uint64, error) {
 	if err := c.pruneCache(dir); err != nil {
-		return err
+		return nil, err
 	}
+	saved := make(map[string]uint64, len(c.colls))
 	for name, col := range c.colls {
 		if err := SafeName(name); err != nil {
-			return err
+			return nil, err
 		}
 		m := Manifest{Spec: col.spec.Encode(), TauMin: col.tauMin, LongCap: col.longCap,
 			Docs: make([]ManifestDoc, col.docs)}
@@ -308,18 +310,19 @@ func (c *Catalog) saveLocked(from, dir string) error {
 			return WriteSynced(path, ixs[i])
 		})
 		if err != nil {
-			return fmt.Errorf("catalog: collection %q: %w", name, err)
+			return nil, fmt.Errorf("catalog: collection %q: %w", name, err)
 		}
+		saved[name] = col.id
 	}
 	if len(c.cold) == 0 || sameDir(from, dir) {
-		return nil
+		return saved, nil
 	}
 	for name := range c.cold {
 		if err := copyCollection(from, dir, name); err != nil {
-			return fmt.Errorf("catalog: evicted collection %q: %w", name, err)
+			return nil, fmt.Errorf("catalog: evicted collection %q: %w", name, err)
 		}
 	}
-	return nil
+	return saved, nil
 }
 
 // sameDir reports whether a and b name one existing directory.
@@ -442,5 +445,5 @@ func (c *Catalog) loadCollection(dir, name string) (*Collection, error) {
 	}
 	c.decodeSkips.Add(int64(skips))
 	c.skipsCounter.Add(int64(skips))
-	return c.register(name, m.TauMin, m.LongCap, spec, ixs), nil
+	return c.register(name, m.TauMin, m.LongCap, spec, ixs, true), nil
 }

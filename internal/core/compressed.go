@@ -87,7 +87,7 @@ func BuildCompressed(s *ustring.String, tauMin float64, opts ...Option) (*Compre
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid input string: %w", err)
 	}
-	tr, err := transform(s, tauMin)
+	tr, err := Transform(s, tauMin)
 	if err != nil {
 		return nil, err
 	}

@@ -407,10 +407,12 @@ func (e *Engine) scanInto(km *keepMax, m, l, r int, thr prob.Threshold) {
 // Section 4.2 (Algorithm 2). The recursion is managed on an explicit stack:
 // its depth equals the number of reported entries.
 func (e *Engine) queryShort(m, lo, hi int, tau float64, report func(j int, lp float64), st *QueryStats) {
-	level := e.short[m-1]
+	var sm shortMax
+	sm.init(e, m, lo, hi)
 	thr := prob.NewThreshold(tau)
 	type span struct{ l, r int }
-	stack := []span{{lo, hi}}
+	var sbuf [32]span
+	stack := append(sbuf[:0], span{lo, hi})
 	var pops int64
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
@@ -419,8 +421,7 @@ func (e *Engine) queryShort(m, lo, hi int, tau float64, report func(j int, lp fl
 			continue
 		}
 		pops++
-		j := level.Max(s.l, s.r)
-		lp := e.ci(m, j)
+		j, lp := sm.max(s.l, s.r)
 		if !thr.Passes(lp) {
 			continue
 		}
@@ -428,6 +429,51 @@ func (e *Engine) queryShort(m, lo, hi int, tau float64, report func(j int, lp fl
 		stack = append(stack, span{s.l, j - 1}, span{j + 1, s.r})
 	}
 	st.add(pops, pops, pops*plainCandidateBytes)
+}
+
+// shortMax is the range-maximum step of one short-pattern extraction over
+// the suffix range [lo, hi] at length m: max(l, r) returns the leftmost
+// argmax j of Ci over [l, r] ⊆ [lo, hi] and its value ci(m, j). A range
+// inside at most two RMQ blocks is exactly what rmq.Block.Max answers by a
+// leftmost linear scan through the accessor, on every pop; such a range is
+// scored once into vals instead and every pop scans the stored values.
+// Wider ranges go to the level's RMQ. The struct lives on the query's
+// stack, so it needs no pool.
+type shortMax struct {
+	e     *Engine
+	m, lo int
+	level *rmq.Block
+	n     int // vals[:n] = ci(m, lo+k); 0 when the RMQ answers
+	vals  [2 * rmq.BlockSize]float64
+}
+
+// init prepares sm for the range [lo, hi] of a length-m pattern.
+func (sm *shortMax) init(e *Engine, m, lo, hi int) {
+	sm.e, sm.m, sm.lo, sm.level = e, m, lo, e.short[m-1]
+	if lo/rmq.BlockSize+1 < hi/rmq.BlockSize {
+		return
+	}
+	sm.n = hi - lo + 1
+	for k := range sm.vals[:sm.n] {
+		sm.vals[k] = e.ci(m, lo+k)
+	}
+}
+
+// max returns the leftmost position of the maximum of Ci over [l, r] and
+// that maximum.
+func (sm *shortMax) max(l, r int) (int, float64) {
+	if sm.n == 0 {
+		j := sm.level.Max(l, r)
+		return j, sm.e.ci(sm.m, j)
+	}
+	vs := sm.vals[l-sm.lo : r-sm.lo+1]
+	best, bv := 0, vs[0]
+	for k, v := range vs {
+		if v > bv {
+			best, bv = k, v
+		}
+	}
+	return l + best, bv
 }
 
 // queryLong is the O(m·occ) blocking scheme of Section 4.2: recursive

@@ -50,7 +50,7 @@ func Build(s *ustring.String, tauMin float64, opts ...Option) (*Index, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid input string: %w", err)
 	}
-	tr, err := transform(s, tauMin)
+	tr, err := Transform(s, tauMin)
 	if err != nil {
 		return nil, err
 	}
@@ -72,14 +72,16 @@ func Build(s *ustring.String, tauMin float64, opts ...Option) (*Index, error) {
 	return ix, nil
 }
 
-// transform is factor.Transform plus the one adjustment correlations need.
+// Transform is factor.Transform plus the one adjustment correlations need,
+// for every index that scores windows through corrAdjust-style arithmetic
+// (the exact backends here, the listing index in internal/listing).
 // A correlated character whose base probability is 0 stays in the factors
 // when pr⁺ or pr⁻ makes it viable, but a LogZero base would poison every
 // window over it before corrAdjust could replace that base by the corrected
 // probability. Such positions get the neutral base 0 (probability 1)
 // instead: corrAdjust subtracts the base it finds, so a window over one
 // scores its corrected probability, as ustring.OccurrenceProb does.
-func transform(s *ustring.String, tauMin float64) (*factor.Transformed, error) {
+func Transform(s *ustring.String, tauMin float64) (*factor.Transformed, error) {
 	tr, err := factor.Transform(s, tauMin)
 	if err != nil || len(s.Corr) == 0 {
 		return tr, err
@@ -108,6 +110,13 @@ func transform(s *ustring.String, tauMin float64) (*factor.Transformed, error) {
 // probabilities).
 func (ix *Index) corrAdjust(xStart, length int) float64 {
 	return corrAdjust(ix.src, ix.tr.T, ix.tr.LogP, int(ix.tr.Pos[xStart]), xStart, length)
+}
+
+// CorrAdjust is corrAdjust for indexes built outside this package over a
+// Transform output — the listing index — so that they score correlated
+// windows in the same float-operation lockstep.
+func CorrAdjust(src *ustring.String, t []byte, logp []float64, s0, xStart, length int) float64 {
+	return corrAdjust(src, t, logp, s0, xStart, length)
 }
 
 // corrAdjust is the shared correlation-correction arithmetic for the window

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
 	"sync"
 
@@ -30,14 +29,47 @@ type fragment struct {
 	lp   float64 // value at j
 }
 
-// fragHeap is a max-heap of fragments ordered by probability.
+// fragHeap is a max-heap of fragments ordered by probability. push and pop
+// are container/heap's sift steps, typed so a fragment is never boxed; equal
+// probabilities therefore leave the heap in container/heap's order. Both
+// return the updated heap, so one backed by a caller's array stays on the
+// caller's stack.
 type fragHeap []fragment
 
-func (h fragHeap) Len() int           { return len(h) }
-func (h fragHeap) Less(a, b int) bool { return h[a].lp > h[b].lp }
-func (h fragHeap) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
-func (h *fragHeap) Push(x any)        { *h = append(*h, x.(fragment)) }
-func (h *fragHeap) Pop() any          { old := *h; n := len(old); f := old[n-1]; *h = old[:n-1]; return f }
+// push adds f.
+func (h fragHeap) push(f fragment) fragHeap {
+	h = append(h, f)
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].lp > h[i].lp) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
+}
+
+// pop removes the most probable fragment; h must be non-empty.
+func (h fragHeap) pop() (fragment, fragHeap) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].lp > h[j].lp {
+			j = j2
+		}
+		if !(h[j].lp > h[i].lp) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return h[n], h[:n]
+}
 
 // TopK returns the k most probable non-duplicate occurrences of p, in the
 // canonical order: decreasing probability, ties by increasing original
@@ -68,17 +100,18 @@ func (e *Engine) TopKCosted(p []byte, k int, st *QueryStats) ([]Hit, error) {
 	if m > e.levels {
 		return e.topKLong(p, m, lo, hi, k, st)
 	}
-	level := e.short[m-1]
-	var h fragHeap
+	var sm shortMax
+	sm.init(e, m, lo, hi)
+	var hbuf [32]fragment
+	h := fragHeap(hbuf[:0])
 	var pushes int64
 	push := func(l, r int) {
 		if l > r {
 			return
 		}
 		pushes++
-		j := level.Max(l, r)
-		if lp := e.ci(m, j); lp != prob.LogZero {
-			heap.Push(&h, fragment{l, r, j, lp})
+		if j, lp := sm.max(l, r); lp != prob.LogZero {
+			h = h.push(fragment{l, r, j, lp})
 		}
 	}
 	push(lo, hi)
@@ -94,11 +127,12 @@ func (e *Engine) TopKCosted(p []byte, k int, st *QueryStats) ([]Hit, error) {
 	// (all occurrences at probability 1, e.g. a fully certain region) this
 	// matches a threshold query's O(occ), never more.
 	var out []Hit
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		if len(out) >= k && h[0].lp != out[k-1].LogProb {
 			break
 		}
-		f := heap.Pop(&h).(fragment)
+		var f fragment
+		f, h = h.pop()
 		x := e.tx.SA()[f.j]
 		out = append(out, Hit{XPos: x, Orig: e.pos[x], Key: e.key[x], LogProb: f.lp})
 		push(f.l, f.j-1)
@@ -287,23 +321,25 @@ func (e *Engine) iterate(p []byte, tau float64, visit func(Hit) bool, st *QueryS
 	}
 	// Short patterns: best-first heap gives globally decreasing order with
 	// early termination.
-	level := e.short[m-1]
+	var sm shortMax
+	sm.init(e, m, lo, hi)
 	thr := prob.NewThreshold(tau)
-	var h fragHeap
+	var hbuf [32]fragment
+	h := fragHeap(hbuf[:0])
 	var pushes int64
 	push := func(l, r int) {
 		if l > r {
 			return
 		}
 		pushes++
-		j := level.Max(l, r)
-		if lp := e.ci(m, j); thr.Passes(lp) {
-			heap.Push(&h, fragment{l, r, j, lp})
+		if j, lp := sm.max(l, r); thr.Passes(lp) {
+			h = h.push(fragment{l, r, j, lp})
 		}
 	}
 	push(lo, hi)
-	for h.Len() > 0 {
-		f := heap.Pop(&h).(fragment)
+	for len(h) > 0 {
+		var f fragment
+		f, h = h.pop()
 		x := e.tx.SA()[f.j]
 		if !visit(Hit{XPos: x, Orig: e.pos[x], Key: e.key[x], LogProb: f.lp}) {
 			break

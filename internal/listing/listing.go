@@ -76,7 +76,7 @@ func Build(docs []*ustring.String, tauMin float64) (*Index, error) {
 		if err := doc.Validate(); err != nil {
 			return nil, fmt.Errorf("listing: document %d: %w", d, err)
 		}
-		tr, err := factor.Transform(doc, tauMin)
+		tr, err := core.Transform(doc, tauMin)
 		if err != nil {
 			return nil, fmt.Errorf("listing: document %d: %w", d, err)
 		}
@@ -121,37 +121,7 @@ func (ix *Index) corrAdjust(xStart, length int) float64 {
 	if d < 0 {
 		return 0
 	}
-	doc := ix.docs[d]
-	if len(doc.Corr) == 0 {
-		return 0
-	}
-	s0 := int(ix.pos[xStart])
-	adj := 0.0
-	for _, c := range doc.Corr {
-		if c.At < s0 || c.At >= s0+length {
-			continue
-		}
-		xc := xStart + (c.At - s0)
-		if ix.t[xc] != c.Char {
-			continue
-		}
-		var corrected float64
-		if c.DepAt >= s0 && c.DepAt < s0+length {
-			if ix.t[xStart+(c.DepAt-s0)] == c.DepChar {
-				corrected = c.ProbWhenPresent
-			} else {
-				corrected = c.ProbWhenAbsent
-			}
-		} else {
-			dp := doc.ProbAt(c.DepAt, c.DepChar)
-			if dp < 0 {
-				dp = 0
-			}
-			corrected = dp*c.ProbWhenPresent + (1-dp)*c.ProbWhenAbsent
-		}
-		adj += prob.Log(corrected) - ix.logp[xc]
-	}
-	return adj
+	return core.CorrAdjust(ix.docs[d], ix.t, ix.logp, int(ix.pos[xStart]), xStart, length)
 }
 
 // List reports the documents containing p with probability greater than tau

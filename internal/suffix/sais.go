@@ -5,6 +5,15 @@
 // The suffix array is built from scratch with the induced-sorting algorithm
 // of Nong, Zhang and Chan; no use is made of the standard library's
 // index/suffixarray so the whole stack stays self-contained and auditable.
+//
+// Suffix-range search starts from Manber and Myers' bucket table: New adds
+// a two-byte directory — the first suffix-array row of every pair of
+// leading bytes, (w²+1) int32 entries for w = 1 + the text's distinct
+// bytes — whenever it fits in one byte per text position (w² ≤ n/4).
+// Patterns of one or two bytes are then a table lookup with no comparison,
+// and longer ones a binary search inside their bucket that compares from
+// the third byte. Without the directory the search is a binary search over
+// the whole suffix array. Text.Bytes counts the directory.
 package suffix
 
 // Array builds the suffix array of text: a permutation sa of [0, len(text))

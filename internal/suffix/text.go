@@ -1,7 +1,5 @@
 package suffix
 
-import "bytes"
-
 // Text bundles a deterministic string with its suffix array, inverse array
 // and LCP array, and answers the suffix-range queries (Section 3.4) every
 // index in this repository is built on.
@@ -10,6 +8,17 @@ type Text struct {
 	sa   []int32
 	rank []int32 // rank[i] = position of suffix i in sa
 	lcp  []int32 // lcp[i] = lcp(sa[i-1], sa[i]); lcp[0] = 0
+
+	// The two-byte bucket directory of Manber and Myers. code maps a byte
+	// to 1 + its rank among the text's distinct bytes, 0 for a byte the
+	// text lacks; w is 1 + the number of distinct bytes. A suffix's key is
+	// code(first byte)·w + code(second byte), with code 0 for a missing
+	// second byte, so keys follow suffix-array order, and dir[k] is the
+	// first suffix-array row whose key is at least k (dir[w²] = n). dir is
+	// nil when the table would cost more than a byte per text position.
+	w    int
+	code *[256]uint8
+	dir  []int32
 }
 
 // New builds the full structure for text. The byte slice is retained; the
@@ -22,7 +31,44 @@ func New(text []byte) *Text {
 		t.rank[p] = int32(i)
 	}
 	t.lcp = kasai(text, t.sa, t.rank)
+	t.buildDir()
 	return t
+}
+
+// buildDir builds the bucket directory with one counting pass over the
+// text, when its (w²+1) four-byte entries fit in n bytes — w² ≤ n/4 — and
+// the text has fewer than 256 distinct bytes, so every code fits a byte.
+func (t *Text) buildDir() {
+	var code [256]uint8
+	for _, c := range t.data {
+		code[c] = 1
+	}
+	w := 1
+	for c := range code {
+		if code[c] != 0 {
+			if w > 255 {
+				return
+			}
+			code[c] = uint8(w)
+			w++
+		}
+	}
+	n := len(t.data)
+	if w*w > n/4 {
+		return
+	}
+	dir := make([]int32, w*w+1)
+	for i, c := range t.data {
+		k := int(code[c]) * w
+		if i+1 < n {
+			k += int(code[t.data[i+1]])
+		}
+		dir[k+1]++
+	}
+	for k := 1; k < len(dir); k++ {
+		dir[k] += dir[k-1]
+	}
+	t.w, t.code, t.dir = w, &code, dir
 }
 
 // kasai computes the LCP array in O(n) with Kasai's algorithm.
@@ -68,15 +114,18 @@ func (t *Text) Suffix(i int32) []byte { return t.data[i:] }
 
 // Range returns the suffix range [lo, hi] (inclusive, positions in the
 // suffix array) of all suffixes having p as a prefix, and ok=false if p does
-// not occur. This is the paper's suffix range [sp, ep]. The search is a
-// binary search over the suffix array: O(|p| log n).
+// not occur. This is the paper's suffix range [sp, ep]. With the bucket
+// directory, patterns of one or two bytes are a table lookup and longer ones
+// a binary search inside their two-byte bucket; without it, a binary search
+// over the whole suffix array: O(|p| log n).
 func (t *Text) Range(p []byte) (lo, hi int, ok bool) {
 	lo, hi, ok, _ = t.RangeCount(p)
 	return lo, hi, ok
 }
 
 // RangeCount is Range plus the number of binary-search probes made — the
-// comparison count cost attribution charges as suffix steps.
+// comparison count cost attribution charges as suffix steps. A directory
+// lookup makes no probe.
 func (t *Text) RangeCount(p []byte) (lo, hi int, ok bool, probes int) {
 	if len(p) == 0 {
 		if len(t.data) == 0 {
@@ -84,30 +133,58 @@ func (t *Text) RangeCount(p []byte) (lo, hi int, ok bool, probes int) {
 		}
 		return 0, len(t.sa) - 1, true, 0
 	}
-	n := len(t.sa)
-	// lo = first suffix ≥ p.
-	lo = searchSA(n, func(i int) bool {
+	// Every row of [from, to) starts with p[:d].
+	from, to, d := 0, len(t.sa), 0
+	if t.dir != nil {
+		k := int(t.code[p[0]]) * t.w
+		if k == 0 {
+			return 0, -1, false, 0
+		}
+		if len(p) == 1 {
+			return int(t.dir[k]), int(t.dir[k+t.w]) - 1, true, 0
+		}
+		c := int(t.code[p[1]])
+		if c == 0 || t.dir[k+c] == t.dir[k+c+1] {
+			return 0, -1, false, 0
+		}
+		from, to, d = int(t.dir[k+c]), int(t.dir[k+c+1]), 2
+		if len(p) == 2 {
+			return from, to - 1, true, 0
+		}
+	}
+	q := p[d:]
+	// lo = first row whose suffix is ≥ p.
+	lo = from + searchSA(to-from, func(i int) bool {
 		probes++
-		return bytes.Compare(t.suffixPrefix(i, len(p)), p) >= 0
+		return t.compareAt(from+i, d, q) >= 0
 	})
-	if lo == n || !bytes.HasPrefix(t.Suffix(t.sa[lo]), p) {
+	if lo == to || t.compareAt(lo, d, q) != 0 {
 		return 0, -1, false, probes
 	}
-	// hi = last suffix with prefix p = first suffix > p-prefixed block, -1.
-	hi = searchSA(n, func(i int) bool {
+	// hi = last row with prefix p = first row of [lo, to) past p's block, -1.
+	hi = lo + searchSA(to-lo, func(i int) bool {
 		probes++
-		return bytes.Compare(t.suffixPrefix(i, len(p)), p) > 0
+		return t.compareAt(lo+i, d, q) > 0
 	}) - 1
 	return lo, hi, true, probes
 }
 
-// suffixPrefix returns at most m leading bytes of the i-th smallest suffix.
-func (t *Text) suffixPrefix(i, m int) []byte {
-	s := t.data[t.sa[i]:]
-	if len(s) > m {
-		return s[:m]
+// compareAt compares the at most len(q) bytes of row i's suffix that
+// follow its first d with q, as bytes.Compare would.
+func (t *Text) compareAt(i, d int, q []byte) int {
+	s := t.data[int(t.sa[i])+d:]
+	for k, c := range q {
+		if k == len(s) {
+			return -1
+		}
+		if s[k] != c {
+			if s[k] < c {
+				return -1
+			}
+			return 1
+		}
 	}
-	return s
+	return 0
 }
 
 // searchSA is sort.Search without the import, kept local so the hot path
@@ -148,7 +225,12 @@ func (t *Text) Locate(p []byte) []int32 {
 	return out
 }
 
-// Bytes reports the memory footprint of the structure including the text.
+// Bytes reports the memory footprint of the structure including the text
+// and the bucket directory.
 func (t *Text) Bytes() int {
-	return len(t.data) + len(t.sa)*4 + len(t.rank)*4 + len(t.lcp)*4
+	b := len(t.data) + len(t.sa)*4 + len(t.rank)*4 + len(t.lcp)*4 + len(t.dir)*4
+	if t.code != nil {
+		b += len(t.code)
+	}
+	return b
 }

@@ -68,7 +68,8 @@
 //
 // With -follow, the daemon is a read replica of another ustridxd started
 // with -wal: it bootstraps every collection from the primary's snapshot
-// endpoint, tails the primary's write-ahead logs over HTTP (resuming from
+// endpoint (the collection's manifest) by copying the index files it lacks,
+// tails the primary's write-ahead logs over HTTP (resuming from
 // its offset, reconnecting with backoff, and re-bootstrapping after a
 // primary compaction), and serves the same read-only query API with
 // bit-identical results. Replication lag is reported under "replication" in

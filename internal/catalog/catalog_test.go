@@ -373,7 +373,7 @@ func TestSaveCrashWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ix := range colB.DocIndexes() {
-		if err := WriteSynced(IxPath(dir, "coll", m.Next+uint64(i)), ix); err != nil {
+		if _, err := WriteSynced(IxPath(dir, "coll", m.Next+uint64(i)), ix); err != nil {
 			t.Fatal(err)
 		}
 	}

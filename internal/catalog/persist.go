@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,10 +36,13 @@ type Manifest struct {
 	Docs []ManifestDoc `json:"docs"`
 }
 
-// ManifestDoc names one document's index file by number.
+// ManifestDoc names one document's index file by number. Sum, the hex
+// SHA-256 WriteSynced returned, identifies the file across directories for
+// replication; no open path reads it, and older manifests carry none.
 type ManifestDoc struct {
 	ID   string `json:"id"`
 	File uint64 `json:"file"`
+	Sum  string `json:"sum,omitempty"`
 }
 
 // ManifestRecord is a *Manifest or a record embedding one, whose extra
@@ -87,7 +92,7 @@ func ReadManifest(path string, m ManifestRecord) (spec core.BackendSpec, err err
 		err = json.Unmarshal(raw, m)
 	}
 	if err == nil {
-		spec, err = m.manifest().validate()
+		spec, err = m.manifest().Validate()
 	}
 	if err != nil {
 		return spec, fmt.Errorf("catalog: manifest %s: %w", path, err)
@@ -95,10 +100,10 @@ func ReadManifest(path string, m ManifestRecord) (spec core.BackendSpec, err err
 	return spec, nil
 }
 
-// validate returns the decoded spec after checking that the options are in
-// range, the ids valid, sorted and unique, and the file numbers unique and
-// below the counter.
-func (m *Manifest) validate() (core.BackendSpec, error) {
+// Validate returns the decoded spec after checking that the options are in
+// range, the ids valid, sorted and unique, the file numbers unique and
+// below the counter, and every sum empty or a hex SHA-256.
+func (m *Manifest) Validate() (core.BackendSpec, error) {
 	spec, err := core.DecodeBackendSpec(m.Spec)
 	if err != nil {
 		return spec, err
@@ -117,6 +122,9 @@ func (m *Manifest) validate() (core.BackendSpec, error) {
 		if d.File >= m.Next || files[d.File] {
 			return spec, fmt.Errorf("document %q: file %d reused or not below %d", d.ID, d.File, m.Next)
 		}
+		if raw, err := hex.DecodeString(d.Sum); err != nil || (d.Sum != "" && len(raw) != sha256.Size) {
+			return spec, fmt.Errorf("document %q: bad sum %q", d.ID, d.Sum)
+		}
 		files[d.File] = true
 	}
 	return spec, nil
@@ -132,7 +140,7 @@ func WriteManifest(path string, m ManifestRecord) error {
 	}
 	tmp := path + ".tmp"
 	os.Remove(tmp) // a crash may have left one behind
-	if err := WriteSynced(tmp, bytes.NewReader(raw)); err != nil {
+	if _, err := WriteSynced(tmp, bytes.NewReader(raw)); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -144,13 +152,15 @@ func WriteManifest(path string, m ManifestRecord) error {
 
 // WriteSynced creates path, which must not exist — an index file is never
 // rewritten in place, because a mapped collection may be reading it — fills
-// it from src and fsyncs it. A failed write removes the partial file.
-func WriteSynced(path string, src io.WriterTo) error {
+// it from src and fsyncs it, returning the hex SHA-256 of the bytes written,
+// digested in the same pass. A failed write removes the partial file.
+func WriteSynced(path string, src io.WriterTo) (sum string, err error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
+		return "", fmt.Errorf("catalog: %w", err)
 	}
-	_, err = src.WriteTo(f)
+	h := sha256.New()
+	_, err = src.WriteTo(io.MultiWriter(f, h))
 	if err == nil {
 		err = f.Sync()
 	}
@@ -159,9 +169,9 @@ func WriteSynced(path string, src io.WriterTo) error {
 	}
 	if err != nil {
 		os.Remove(path)
-		return fmt.Errorf("catalog: writing %s: %w", path, err)
+		return "", fmt.Errorf("catalog: writing %s: %w", path, err)
 	}
-	return nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // SyncDir fsyncs a directory so its just-created or renamed entries are
@@ -306,7 +316,7 @@ func (c *Catalog) saveLocked(from, dir string) (map[string]uint64, error) {
 			m.Docs[i].ID = DocID(i)
 		}
 		ixs := col.DocIndexes()
-		err := writeCollection(dir, name, m, func(i int, path string) error {
+		err := writeCollection(dir, name, m, func(i int, path string) (string, error) {
 			return WriteSynced(path, ixs[i])
 		})
 		if err != nil {
@@ -339,10 +349,10 @@ func copyCollection(from, dir, name string) error {
 		return err
 	}
 	src := slices.Clone(m.Docs)
-	return writeCollection(dir, name, m, func(i int, path string) error {
+	return writeCollection(dir, name, m, func(i int, path string) (string, error) {
 		f, err := os.Open(IxPath(from, name, src[i].File))
 		if err != nil {
-			return fmt.Errorf("catalog: %w", err)
+			return "", fmt.Errorf("catalog: %w", err)
 		}
 		defer f.Close()
 		return WriteSynced(path, f)
@@ -351,8 +361,8 @@ func copyCollection(from, dir, name string) error {
 
 // writeCollection writes one collection following Save's protocol: m
 // carries the manifest's options and document ids, and write(i, path)
-// creates document i's index file at path.
-func writeCollection(dir, name string, m Manifest, write func(i int, path string) error) error {
+// creates document i's index file at path and returns its sum.
+func writeCollection(dir, name string, m Manifest, write func(i int, path string) (string, error)) error {
 	var old Manifest
 	if _, err := ReadManifest(ManifestPath(dir, name), &old); err != nil {
 		// An unreadable manifest names nothing reliably: start over.
@@ -366,10 +376,11 @@ func writeCollection(dir, name string, m Manifest, write func(i int, path string
 	}
 	m.Next = old.Next
 	for i := range m.Docs {
-		if err := write(i, IxPath(dir, name, m.Next)); err != nil {
+		sum, err := write(i, IxPath(dir, name, m.Next))
+		if err != nil {
 			return err
 		}
-		m.Docs[i].File = m.Next
+		m.Docs[i].File, m.Docs[i].Sum = m.Next, sum
 		m.Next++
 	}
 	if err := SyncDir(IxDir(dir, name)); err != nil {

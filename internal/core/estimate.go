@@ -50,6 +50,12 @@ const (
 	unitsPerSuffixStep = 1.0
 )
 
+// plainDirPositions is the document length, in positions, from which the
+// plain backend's suffix text is long enough to carry the two-byte bucket
+// directory for the protein alphabet (w² ≤ n/4 with w = 21, at the
+// transform's expansion).
+const plainDirPositions = 512
+
 // CostUnits collapses resource counters into the scalar admission currency.
 // The serving tier feeds it measured obs.Cost counters to compare actual
 // spend against the pre-execution estimate.
@@ -87,7 +93,6 @@ func EstimateQuery(spec BackendSpec, docs, positions, shards, longCap, patternLe
 		m = float64(longCap)
 	}
 	avgLen := float64(positions) / d
-	logN := math.Log2(avgLen + 1)
 
 	// Candidate survival: every extra pattern character cuts the surviving
 	// candidate set roughly by the alphabet's branching factor. Capped at 8
@@ -112,11 +117,25 @@ func EstimateQuery(spec BackendSpec, docs, positions, shards, longCap, patternLe
 		steps = d * m
 		bytes = steps * 2
 	default:
-		// Plain suffix array: per document a binary search of log n probes,
-		// each comparing up to m characters — measured closer to m + log n
-		// per document than m·log n because probes bail on first mismatch.
-		steps = d * (m + logN)
-		bytes = steps * (4 + m)
+		// Plain suffix array: per document two binary searches over the
+		// rows that can match. A document long enough for the two-byte
+		// bucket directory (suffix.Text) answers m ≤ 2 from the table and
+		// searches one bucket, about 1/256 of its rows, for longer
+		// patterns; a shorter one searches all of them. Each RMQ pop of
+		// Algorithm 2 is a step too, and since it pops only entries above
+		// τ it examines about an eighth of the positions per pattern
+		// character, not the quarter a full range visits.
+		rows := avgLen
+		if avgLen >= plainDirPositions {
+			rows = avgLen / 256
+			if patternLen <= 2 {
+				rows = 0
+			}
+		}
+		probes := d * 2 * math.Log2(rows+1)
+		candidates = max(1, float64(positions)/math.Pow(8, math.Min(m, 8)))
+		steps = probes + candidates
+		bytes = probes*(4+m) + candidates*plainCandidateBytes
 	}
 	est := QueryEstimate{
 		Candidates:  int64(math.Ceil(candidates)),

@@ -193,11 +193,19 @@ func (c *Cluster) Kill(name string) {
 		c.t.Fatalf("chaostest: node %q killed twice", name)
 	}
 	n.killed = true
-	n.ts.CloseClientConnections()
+	// The listener goes first: a connection accepted between the two calls
+	// would otherwise outlive the kill, and a promotion's fencing probe
+	// could still reach the dead node through it.
 	n.ts.Listener.Close()
+	n.ts.CloseClientConnections()
 	if n.stopTail != nil {
 		n.stopTail()
 		n.stopTail = nil
+	}
+	probe := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 5 * time.Second}
+	if resp, err := probe.Get(n.ts.URL + "/healthz"); err == nil {
+		resp.Body.Close()
+		c.t.Fatalf("chaostest: killed node %s still answers (%s)", name, resp.Status)
 	}
 	c.t.Logf("chaostest: killed %s", name)
 }

@@ -207,10 +207,11 @@ type liveColl struct {
 	name  string
 	spec  core.BackendSpec // index backend, fixed at creation (see the manifest)
 
-	compactMu sync.Mutex // at most one compaction in flight
+	compactMu sync.Mutex // at most one compaction or Install in flight
 	// files maps each index with a file under <name>.ix/, committed or not,
-	// to its number; next is the next unused number. compactMu guards both.
-	files map[core.Backend]uint64
+	// to its manifest entry; next is the next unused number. compactMu
+	// guards both.
+	files map[core.Backend]catalog.ManifestDoc
 	next  uint64
 
 	mu          sync.Mutex
@@ -313,7 +314,7 @@ func (st *Store) openColl(name string, cat *catalog.Catalog, backendReq *core.Ba
 	if backendReq != nil {
 		spec = *backendReq
 	}
-	lc := &liveColl{store: st, name: name, live: make(map[string]core.Backend), files: make(map[core.Backend]uint64)}
+	lc := &liveColl{store: st, name: name, live: make(map[string]core.Backend), files: make(map[core.Backend]catalog.ManifestDoc)}
 	recorded, err := catalog.ReadManifest(catalog.ManifestPath(st.opts.Dir, name), &lc.man)
 	found := err == nil
 	if errors.Is(err, fs.ErrNotExist) {
@@ -423,16 +424,6 @@ func (st *Store) buildDocs(pending map[string]*ustring.String, spec core.Backend
 	return built, nil
 }
 
-// sortedLiveLocked returns the live set in canonical (id-sorted) order.
-func (lc *liveColl) sortedLiveLocked() ([]string, []core.Backend) {
-	ids := slices.Sorted(maps.Keys(lc.live))
-	ixs := make([]core.Backend, len(ids))
-	for i, id := range ids {
-		ixs[i] = lc.live[id]
-	}
-	return ids, ixs
-}
-
 // foldLocked records the current live set as folded, zeroing the pending
 // work (delta documents and tombstones) the compactor's threshold counts,
 // and publishes it.
@@ -447,7 +438,11 @@ func (lc *liveColl) foldLocked() {
 // (every live index was built with it). It returns the new View.
 func (lc *liveColl) publishLocked() *View {
 	copts := lc.store.opts.Catalog
-	ids, ixs := lc.sortedLiveLocked()
+	ids := slices.Sorted(maps.Keys(lc.live))
+	ixs := make([]core.Backend, len(ids))
+	for i, id := range ids {
+		ixs[i] = lc.live[id]
+	}
 	// A folded document no longer live under the same index is a tombstone;
 	// every live document not folded under its current index is a delta
 	// document. A replaced document is therefore one of each.
@@ -718,30 +713,16 @@ func (st *Store) Compact(name string) (bool, error) {
 	return false, fmt.Errorf("ingest: collection %q: compaction kept racing writers", name)
 }
 
-// CompactAll folds every collection; used by the compact endpoint and by
-// graceful shutdown.
-func (st *Store) CompactAll() (int, error) {
-	n := 0
-	for _, name := range st.Names() {
-		did, err := st.Compact(name)
-		if err != nil {
-			return n, err
-		}
-		if did {
-			n++
-		}
-	}
-	return n, nil
-}
-
 func (st *Store) compactOnce(lc *liveColl) (bool, error) {
 	lc.mu.Lock()
 	v := lc.view.Load()
 	// A freshly opened store counts replayed records as folded, so the
 	// pending work can be zero while the WAL still holds records; compacting
 	// then means committing and truncating so the log cannot grow across
-	// restarts. With both empty there is truly nothing to do.
-	if v.DeltaDocs()+v.Tombstones() == 0 && lc.wal.records == 0 {
+	// restarts. A manifest not yet folded leaves seed documents outside it,
+	// so the first fold is due even then. With all three settled there is
+	// truly nothing to do.
+	if v.DeltaDocs()+v.Tombstones() == 0 && lc.wal.records == 0 && lc.man.Folded {
 		lc.mu.Unlock()
 		return false, nil
 	}
@@ -767,24 +748,10 @@ func (st *Store) compactOnce(lc *liveColl) (bool, error) {
 	m := lc.man
 	m.TauMin, m.LongCap = st.opts.Catalog.TauMin, st.opts.Catalog.LongCap
 	m.Epoch, m.Next, m.Folded, m.Docs = m.Epoch+1, lc.next, true, docs
-	if err := lc.commitLocked(m); err != nil {
+	if err := lc.foldToLocked(m, live); err != nil {
 		return false, err
 	}
-	if err := lc.wal.reset(); err != nil {
-		// The manifest already covers the log; leaving the records in place
-		// is safe (replay is idempotent), so surface the error without
-		// swapping state.
-		return false, err
-	}
-	// Unlink the files the manifest no longer names; a View still mapping
-	// one keeps reading it, and Open sweeps any a failure here leaves.
-	lc.files = make(map[core.Backend]uint64, len(docs))
-	for _, d := range docs {
-		lc.files[live[d.ID]] = d.File
-	}
-	_ = catalog.Sweep(st.opts.Dir, lc.name, &m.Manifest)
 	lc.compactions++
-	lc.foldLocked()
 	st.opts.Logf("ingest: %s: compacted %d documents (gen %d)", lc.name, len(docs), lc.gen)
 	return true, nil
 }
@@ -944,9 +911,7 @@ func (st *Store) Counters() (puts, deletes, compactions int64) {
 	return st.puts.Load(), st.deletes.Load(), st.compactions.Load()
 }
 
-// Options returns the store's effective (defaulted) configuration. The
-// replication snapshot carries the construction options so a follower built
-// with different ones fails loudly instead of silently diverging.
+// Options returns the store's effective (defaulted) configuration.
 func (st *Store) Options() Options { return st.opts }
 
 // Close stops the background compactor and flushes and closes every WAL.

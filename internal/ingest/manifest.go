@@ -53,17 +53,41 @@ func (lc *liveColl) writeFiles(live map[string]core.Backend) ([]catalog.Manifest
 	ids := slices.Sorted(maps.Keys(live))
 	docs := make([]catalog.ManifestDoc, len(ids))
 	for i, id := range ids {
-		n, ok := lc.files[live[id]]
+		d, ok := lc.files[live[id]]
 		if !ok {
-			n = lc.next
-			if err := catalog.WriteSynced(catalog.IxPath(dir, lc.name, n), live[id]); err != nil {
+			d = catalog.ManifestDoc{ID: id, File: lc.next}
+			var err error
+			if d.Sum, err = catalog.WriteSynced(catalog.IxPath(dir, lc.name, d.File), live[id]); err != nil {
 				return nil, err
 			}
-			lc.files[live[id]], lc.next = n, n+1
+			lc.files[live[id]], lc.next = d, lc.next+1
 		}
-		docs[i] = catalog.ManifestDoc{ID: id, File: n}
+		docs[i] = d
 	}
 	return docs, catalog.SyncDir(catalog.IxDir(dir, lc.name))
+}
+
+// foldToLocked commits m, a fold's manifest naming the files of live, as
+// the collection's state: it truncates the WAL m covers, unlinks the files
+// m no longer names and publishes live as folded. A failed truncate leaves
+// the in-memory state alone; the manifest already covers the log, and
+// replaying it is idempotent. A View still mapping an unlinked file keeps
+// reading it, and Open sweeps any file a failure here leaves.
+func (lc *liveColl) foldToLocked(m manifest, live map[string]core.Backend) error {
+	if err := lc.commitLocked(m); err != nil {
+		return err
+	}
+	if err := lc.wal.reset(); err != nil {
+		return err
+	}
+	lc.files = make(map[core.Backend]catalog.ManifestDoc, len(m.Docs))
+	for _, d := range m.Docs {
+		lc.files[live[d.ID]] = d
+	}
+	_ = catalog.Sweep(lc.store.opts.Dir, lc.name, &m.Manifest)
+	lc.live = live
+	lc.foldLocked()
+	return nil
 }
 
 // openFolded opens the manifest's index files into lc.live with the
@@ -87,7 +111,7 @@ func (st *Store) openFolded(lc *liveColl, pending map[string]*ustring.String) er
 			continue
 		}
 		lc.live[d.ID] = ixs[i]
-		lc.files[ixs[i]] = d.File
+		lc.files[ixs[i]] = d
 	}
 	lc.remapped = len(lc.files)
 	return catalog.Sweep(st.opts.Dir, lc.name, m)

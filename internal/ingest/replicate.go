@@ -4,29 +4,33 @@ package ingest
 //
 // A primary exposes its per-collection WAL as an immutable byte stream
 // addressed by (epoch, offset): ReadWAL serves whole frames from any
-// committed offset, Snapshot captures the full live document set together
-// with the stream position it is consistent with, and WALPos reports the
-// committed head. A follower bootstraps from a Snapshot, tails the stream,
-// and feeds the decoded records to Apply — the apply-without-logging path:
-// the follower's own WAL stays empty because its durability is the primary's
-// log, and a restarted follower simply re-bootstraps.
+// committed offset and WALPos reports the committed head. The bootstrap
+// image is the collection's own on-disk form, its manifest
+// (ReplicaManifest): a fold commits the manifest before it truncates the
+// log, and torn-tail repair and Takeover bump the epoch without touching
+// it, so the WAL of its epoch read from offset 0 holds exactly what it
+// lacks. A follower installs the manifest (Install), copying only the
+// files it lacks, then tails from (epoch, 0) and feeds the records to
+// Apply — the apply-without-logging path: its durability is the primary's
+// log.
 //
-// Equivalence discipline: Apply and ApplySnapshot build document indexes
-// with the exact call Put uses, and the view publication path is shared, so
-// a follower that has applied the same final document set answers
-// Search/TopK/Count bit-identically to its primary (both are equivalent to a
-// static catalog over that document set; see the replica equivalence test).
+// Equivalence discipline: Install serves the primary's own index files,
+// Apply builds indexes with the exact call Put uses, and the view
+// publication path is shared, so a follower that has applied the same final
+// document set answers Search/TopK/Count bit-identically to its primary
+// (both are equivalent to a static catalog over that document set; see the
+// replica equivalence test).
 
 import (
+	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"maps"
 	"math"
 	"os"
-	"reflect"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/ustring"
 )
@@ -38,31 +42,6 @@ type WALPosition struct {
 	Epoch   uint64
 	Offset  int64
 	Records int64
-}
-
-// ReplicaSnapshot is the bootstrap image a primary hands a follower: the
-// complete live document set of one collection, the WAL position it is
-// consistent with (tailing from Position replays nothing older than the
-// snapshot), and the construction options the documents' indexes need.
-type ReplicaSnapshot struct {
-	Name    string
-	TauMin  float64
-	LongCap int
-	// Backend is the collection's index backend kind on the primary; the
-	// follower adopts it when creating the collection and fails loudly if
-	// its local copy already uses a different one. (Empty in snapshots from
-	// primaries predating pluggable backends: treated as plain.)
-	Backend string
-	// Epsilon is the approx backend's additive error bound on the primary;
-	// 0 for exact backends (and in snapshots from primaries predating the
-	// approx backend). Followers adopt it together with Backend, so a
-	// replicated ε-collection answers under the identical error bound.
-	Epsilon  float64
-	Position WALPosition
-	// IDs and Docs are parallel, in the collection's canonical (id-sorted)
-	// order.
-	IDs  []string
-	Docs []*ustring.String
 }
 
 // WALPos returns the committed replication position of one collection.
@@ -161,49 +140,26 @@ func (st *Store) recheck(lc *liveColl, _ WALPosition) ([]byte, WALPosition, erro
 	return nil, pos, nil
 }
 
-// Snapshot captures the named collection's complete live document set and
-// the WAL position it is consistent with, for follower bootstrap. The
-// returned documents are immutable and shared with the serving views.
-func (st *Store) Snapshot(coll string) (*ReplicaSnapshot, error) {
-	if st.closed.Load() {
-		return nil, ErrClosed
-	}
+// ReplicaManifest returns the named collection's committed manifest with
+// the WAL head it was committed under; tailing from (head.Epoch, 0) replays
+// exactly the mutations the manifest lacks. A collection whose manifest is
+// not folded yet — seed documents live outside it — is folded first.
+func (st *Store) ReplicaManifest(coll string) (catalog.Manifest, WALPosition, error) {
 	lc, err := st.coll(coll, false, nil)
+	if err == nil {
+		lc.mu.Lock()
+		folded := lc.man.Folded
+		lc.mu.Unlock()
+		if !folded {
+			_, err = st.Compact(coll)
+		}
+	}
 	if err != nil {
-		return nil, err
+		return catalog.Manifest{}, WALPosition{}, err
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	ids, ixs := lc.sortedLiveLocked()
-	docs := make([]*ustring.String, len(ixs))
-	for i, ix := range ixs {
-		docs[i] = ix.Source()
-	}
-	return &ReplicaSnapshot{
-		Name:     lc.name,
-		TauMin:   st.opts.Catalog.TauMin,
-		LongCap:  st.opts.Catalog.LongCap,
-		Backend:  lc.spec.Kind,
-		Epsilon:  lc.spec.Epsilon,
-		Position: lc.posLocked(),
-		IDs:      ids,
-		Docs:     docs,
-	}, nil
-}
-
-// checkReplicaOptions rejects a snapshot whose indexes were built under
-// different construction options than this store uses: applying it would
-// silently break the bit-identical-results guarantee.
-func (st *Store) checkReplicaOptions(tauMin float64, longCap int) error {
-	if tauMin != st.opts.Catalog.TauMin {
-		return fmt.Errorf("ingest: primary taumin %g differs from follower taumin %g",
-			tauMin, st.opts.Catalog.TauMin)
-	}
-	if core.EffectiveLongCap(longCap) != core.EffectiveLongCap(st.opts.Catalog.LongCap) {
-		return fmt.Errorf("ingest: primary longcap %d differs from follower longcap %d",
-			longCap, st.opts.Catalog.LongCap)
-	}
-	return nil
+	return lc.man.Manifest, lc.posLocked(), nil
 }
 
 // Apply applies replicated log records to a collection without logging them
@@ -262,70 +218,110 @@ func (st *Store) Apply(coll string, recs []WALRecord) error {
 	return nil
 }
 
-// ApplySnapshot replaces a collection's live document set with a primary's
-// bootstrap image. Indexes of documents whose content is unchanged are
-// reused, so re-bootstrapping after a primary compaction (which ships the
-// same documents under a new epoch) costs no index builds.
-func (st *Store) ApplySnapshot(snap *ReplicaSnapshot) error {
+// Install replaces a collection's live document set with a primary's
+// manifest m. A document whose id and sum match a file the collection
+// already holds keeps that file and its open index; every other file is
+// read from fetch, checked against its sum and written under this store's
+// next number, then opened. The follower's manifest — folded, naming its
+// own numbers with the primary's sums — is committed like a fold's, which
+// truncates the WAL, so the store then holds exactly m's documents. It
+// returns the number of files fetched. Options or a spec that differ from
+// this store's fail before anything is fetched, and a file whose digest
+// differs from its sum is never installed.
+func (st *Store) Install(coll string, m *catalog.Manifest, fetch func(catalog.ManifestDoc) (io.ReadCloser, error)) (int, error) {
 	if st.closed.Load() {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	if snap == nil {
-		return errors.New("ingest: nil snapshot")
+	spec, err := m.Validate()
+	if err != nil {
+		return 0, fmt.Errorf("ingest: manifest of %q: %w", coll, err)
 	}
-	if len(snap.IDs) != len(snap.Docs) {
-		return fmt.Errorf("ingest: snapshot of %q has %d ids but %d documents",
-			snap.Name, len(snap.IDs), len(snap.Docs))
+	// Indexes built under other options would silently break the
+	// bit-identical-results guarantee.
+	if m.TauMin != st.opts.Catalog.TauMin {
+		return 0, fmt.Errorf("ingest: primary taumin %g differs from follower taumin %g", m.TauMin, st.opts.Catalog.TauMin)
 	}
-	if err := st.checkReplicaOptions(snap.TauMin, snap.LongCap); err != nil {
-		return err
+	if core.EffectiveLongCap(m.LongCap) != core.EffectiveLongCap(st.opts.Catalog.LongCap) {
+		return 0, fmt.Errorf("ingest: primary longcap %d differs from follower longcap %d", m.LongCap, st.opts.Catalog.LongCap)
 	}
-	for _, id := range snap.IDs {
-		if err := validateDocID(id); err != nil {
-			return err
+	lc, err := st.coll(coll, true, &spec)
+	if err != nil {
+		return 0, err
+	}
+	// A local collection created with another spec (a stale manifest, or a
+	// follower configured differently) would split the collection across
+	// representations or error bounds: fail loudly instead.
+	if err := lc.checkBackend(&spec); err != nil {
+		return 0, err
+	}
+	lc.compactMu.Lock()
+	defer lc.compactMu.Unlock()
+	// Identity is (id, sum): file numbers are local to one directory.
+	have := make(map[[2]string]core.Backend, len(lc.files))
+	for ix, d := range lc.files {
+		if d.Sum != "" {
+			have[[2]string{d.ID, d.Sum}] = ix
 		}
 	}
-	snapSpec, err := core.NewBackendSpec(snap.Backend, snap.Epsilon)
-	if err != nil {
-		return fmt.Errorf("ingest: snapshot of %q: %w", snap.Name, err)
-	}
-	lc, err := st.coll(snap.Name, true, &snapSpec)
-	if err != nil {
-		return err
-	}
-	// A local collection that predates this snapshot may have been created
-	// with a different backend spec (a stale manifest, or a follower
-	// configured differently); applying the snapshot anyway would split the
-	// collection across representations or error bounds, so fail loudly
-	// instead.
-	if err := lc.checkBackend(&snapSpec); err != nil {
-		return err
-	}
-	lc.mu.Lock()
-	prev := maps.Clone(lc.live)
-	lc.mu.Unlock()
-	pending := make(map[string]*ustring.String)
-	reused := make(map[string]core.Backend)
-	for i, id := range snap.IDs {
-		if snap.Docs[i] == nil {
-			return fmt.Errorf("ingest: snapshot of %q: nil document %q", snap.Name, id)
-		}
-		if ix, ok := prev[id]; ok && reflect.DeepEqual(ix.Source(), snap.Docs[i]) {
-			reused[id] = ix
+	docs := make([]catalog.ManifestDoc, len(m.Docs))
+	live := make(map[string]core.Backend, len(m.Docs))
+	// Files fetched by an Install that fails stay unnamed, and the next
+	// fold, Install or Open sweeps them.
+	fetched := catalog.Manifest{Spec: m.Spec, TauMin: m.TauMin, LongCap: m.LongCap}
+	for i, d := range m.Docs {
+		if ix := have[[2]string{d.ID, d.Sum}]; ix != nil {
+			docs[i], live[d.ID] = lc.files[ix], ix
 			continue
 		}
-		pending[id] = snap.Docs[i]
+		docs[i] = catalog.ManifestDoc{ID: d.ID, File: lc.next}
+		if docs[i].Sum, err = st.fetchFile(coll, lc.next, d, fetch); err != nil {
+			return 0, err
+		}
+		lc.next++
+		fetched.Docs = append(fetched.Docs, docs[i])
 	}
-	built, err := st.buildDocs(pending, lc.spec)
+	fetched.Next = lc.next
+	err = catalog.SyncDir(catalog.IxDir(st.opts.Dir, coll))
+	var ixs []core.Backend
+	if err == nil {
+		ixs, _, err = catalog.OpenManifest(st.opts.Dir, coll, &fetched, spec, st.opts.Catalog)
+	}
 	if err != nil {
-		return fmt.Errorf("ingest: collection %q: %w", snap.Name, err)
+		return 0, fmt.Errorf("ingest: collection %q: %w", coll, err)
 	}
-	maps.Copy(reused, built)
+	for i, d := range fetched.Docs {
+		live[d.ID] = ixs[i]
+	}
 	lc.mu.Lock()
-	lc.live = reused
+	defer lc.mu.Unlock()
+	nm := lc.man
+	nm.TauMin, nm.LongCap = st.opts.Catalog.TauMin, st.opts.Catalog.LongCap
+	nm.Epoch, nm.Next, nm.Folded, nm.Docs = nm.Epoch+1, lc.next, true, docs
 	lc.gen++
-	v := lc.publishLocked()
-	lc.mu.Unlock()
-	st.maybeCompact(snap.Name, v)
-	return nil
+	if err := lc.foldToLocked(nm, live); err != nil {
+		if lc.man.Epoch != nm.Epoch { // not committed: nothing serves ixs
+			for _, ix := range ixs {
+				_ = core.CloseBackend(ix)
+			}
+		}
+		return 0, err
+	}
+	return len(fetched.Docs), nil
+}
+
+// fetchFile writes the primary's file d, read from fetch, as this store's
+// file n of coll and returns its sum, which must equal d's when d has one.
+func (st *Store) fetchFile(coll string, n uint64, d catalog.ManifestDoc, fetch func(catalog.ManifestDoc) (io.ReadCloser, error)) (string, error) {
+	body, err := fetch(d)
+	if err != nil {
+		return "", err
+	}
+	defer body.Close()
+	path := catalog.IxPath(st.opts.Dir, coll, n)
+	sum, err := catalog.WriteSynced(path, bufio.NewReader(body))
+	if err == nil && d.Sum != "" && sum != d.Sum {
+		os.Remove(path)
+		err = fmt.Errorf("ingest: collection %q: file %d of %q has sum %s, not %s", coll, d.File, d.ID, sum, d.Sum)
+	}
+	return sum, err
 }

@@ -166,37 +166,41 @@ func TestReplicationApproxChain(t *testing.T) {
 	}
 }
 
-// TestApplySnapshotEpsilonMismatch: a snapshot whose ε disagrees with the
-// local collection's fixed spec must fail loudly, exactly like a kind
-// mismatch.
-func TestApplySnapshotEpsilonMismatch(t *testing.T) {
+// TestInstallEpsilonMismatch: a snapshot whose ε disagrees with the local
+// collection's fixed spec must fail loudly, exactly like a kind mismatch.
+func TestInstallEpsilonMismatch(t *testing.T) {
 	docs := gen.Collection(gen.Config{N: 400, Theta: 0.3, Seed: 307})
 	copts := testCatalogOpts()
 	copts.Backend = core.BackendApprox
 	copts.Epsilon = 0.05
-	st, err := ingest.Open(nil, ingest.Options{
-		Dir: t.TempDir(), Catalog: copts, CompactThreshold: -1, Logf: t.Logf,
-	})
+	open := func() *ingest.Store {
+		st, err := ingest.Open(nil, ingest.Options{
+			Dir: t.TempDir(), Catalog: copts, CompactThreshold: -1, Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	primary, st := open(), open()
+	for _, s := range []*ingest.Store{primary, st} {
+		if _, err := s.Put("c", "a", docs[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, fetch := snapshotOf(t, primary, "c")
+	good := m.Spec
+	spec, err := core.NewBackendSpec(core.BackendApprox, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
-	if _, err := st.Put("c", "a", docs[0]); err != nil {
-		t.Fatal(err)
+	m.Spec = spec.Encode()
+	if _, err := st.Install("c", &m, fetch); err == nil {
+		t.Fatal("Install accepted an epsilon mismatch")
 	}
-	snap := &ingest.ReplicaSnapshot{
-		Name:    "c",
-		TauMin:  copts.TauMin,
-		Backend: core.BackendApprox,
-		Epsilon: 0.2,
-		IDs:     []string{"a"},
-		Docs:    docs[:1],
-	}
-	if err := st.ApplySnapshot(snap); err == nil {
-		t.Fatal("ApplySnapshot accepted an epsilon mismatch")
-	}
-	snap.Epsilon = 0.05
-	if err := st.ApplySnapshot(snap); err != nil {
-		t.Fatalf("ApplySnapshot rejected the matching spec: %v", err)
+	m.Spec = good
+	if _, err := st.Install("c", &m, fetch); err != nil {
+		t.Fatalf("Install rejected the matching spec: %v", err)
 	}
 }

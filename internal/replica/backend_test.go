@@ -136,28 +136,25 @@ func TestReplicationEquivalenceCompressed(t *testing.T) {
 	}
 }
 
-// TestApplySnapshotBackendMismatch: a snapshot naming a backend that
-// disagrees with the local collection's fixed one must fail loudly, never
-// silently rebuild.
-func TestApplySnapshotBackendMismatch(t *testing.T) {
+// TestInstallBackendMismatch: a snapshot naming a backend that disagrees
+// with the local collection's fixed one must fail loudly, never silently
+// rebuild.
+func TestInstallBackendMismatch(t *testing.T) {
 	docs := gen.Collection(gen.Config{N: 600, Theta: 0.3, Seed: 157})
-	st := openStore(t, -1) // plain default
-	if _, err := st.Put("c", "a", docs[0]); err != nil {
-		t.Fatal(err)
+	primary, st := openStore(t, -1), openStore(t, -1) // plain default
+	for _, s := range []*ingest.Store{primary, st} {
+		if _, err := s.Put("c", "a", docs[0]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	snap := &ingest.ReplicaSnapshot{
-		Name:    "c",
-		TauMin:  testCatalogOpts().TauMin,
-		Backend: core.BackendCompressed,
-		IDs:     []string{"a"},
-		Docs:    docs[:1],
+	m, fetch := snapshotOf(t, primary, "c")
+	plain := m.Spec
+	m.Spec = core.BackendSpec{Kind: core.BackendCompressed}.Encode()
+	if _, err := st.Install("c", &m, fetch); err == nil {
+		t.Fatal("Install accepted a backend mismatch")
 	}
-	if err := st.ApplySnapshot(snap); err == nil {
-		t.Fatal("ApplySnapshot accepted a backend mismatch")
-	}
-	// The legacy empty backend means plain and keeps applying.
-	snap.Backend = ""
-	if err := st.ApplySnapshot(snap); err != nil {
-		t.Fatalf("ApplySnapshot rejected a legacy snapshot: %v", err)
+	m.Spec = plain
+	if _, err := st.Install("c", &m, fetch); err != nil {
+		t.Fatalf("Install rejected the matching spec: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package replica
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -11,13 +10,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	olog "repro/internal/obs/log"
@@ -40,7 +39,7 @@ type FollowerOptions struct {
 	Primary string
 	// Store receives the replicated collections (required). Its catalog
 	// options (taumin, longcap) must match the primary's; a mismatch is
-	// detected at the first snapshot and reported instead of applied.
+	// detected at the first snapshot and reported instead of installed.
 	Store *ingest.Store
 	// PollInterval is the WAL poll cadence when caught up; 0 means
 	// DefaultPollInterval.
@@ -218,7 +217,7 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 	}
 	f.log = f.opts.Log
 	f.snapshotSeconds = f.opts.Metrics.HistogramVec("ustridx_replication_snapshot_seconds",
-		"Bootstrap snapshot fetch-and-apply duration.", nil, "collection")
+		"Bootstrap duration: snapshot fetch, missing-file copies and install.", nil, "collection")
 	f.appliedRecords = f.opts.Metrics.CounterVec("ustridx_replication_applied_records_total",
 		"WAL records applied from the replication feed.", "collection")
 	f.registerLagGauges(f.opts.Metrics)
@@ -341,6 +340,15 @@ func (f *Follower) tail(ctx context.Context, coll string, cs *collState) {
 			needSnapshot, idle, err = f.poll(ctx, coll, cs)
 		}
 		switch {
+		case errors.Is(err, errGone):
+			// A file of the snapshot was unlinked by a later fold: the next
+			// snapshot names its successor.
+			f.log.Info("replica: snapshot file gone; re-bootstrapping",
+				"collection", coll, "error", err)
+			backoff = f.opts.PollInterval
+			if !f.sleep(ctx, f.opts.PollInterval) {
+				return
+			}
 		case err != nil:
 			if ctx.Err() != nil {
 				return
@@ -395,23 +403,34 @@ func (f *Follower) tail(ctx context.Context, coll string, cs *collState) {
 	}
 }
 
-// bootstrap fetches and applies one snapshot.
+// bootstrap fetches one snapshot and installs it, copying the files the
+// store lacks.
 func (f *Follower) bootstrap(ctx context.Context, coll string, cs *collState) error {
 	begin := time.Now()
-	snap, err := f.fetchSnapshot(ctx, coll)
+	q := url.Values{"collection": {coll}}
+	body, err := f.get(ctx, "/v1/replication/snapshot?"+q.Encode())
 	if err != nil {
 		return err
 	}
-	if err := f.opts.Store.ApplySnapshot(snap); err != nil {
+	snap, err := decodeSnapshot(coll, body)
+	body.Close()
+	if err != nil {
+		return err
+	}
+	fetched, err := f.opts.Store.Install(coll, &snap.Manifest, func(d catalog.ManifestDoc) (io.ReadCloser, error) {
+		q.Set("file", strconv.FormatUint(d.File, 10))
+		return f.get(ctx, "/v1/replication/file?"+q.Encode())
+	})
+	if err != nil {
 		return err
 	}
 	f.snapshotSeconds.With(coll).ObserveDuration(time.Since(begin))
 	cs.mu.Lock()
-	cs.epoch = snap.Position.Epoch
-	cs.applied = snap.Position.Offset
-	cs.appliedRecs = snap.Position.Records
-	cs.primary = snap.Position.Offset
-	cs.primaryRecs = snap.Position.Records
+	cs.epoch = snap.Epoch
+	cs.applied = 0
+	cs.appliedRecs = 0
+	cs.primary = snap.Committed
+	cs.primaryRecs = snap.Records
 	cs.snapshots++
 	cs.connected = true
 	cs.lastErr = ""
@@ -419,8 +438,8 @@ func (f *Follower) bootstrap(ctx context.Context, coll string, cs *collState) er
 	cs.bootstrapped = true
 	cs.mu.Unlock()
 	f.log.Info("replica: bootstrapped",
-		"collection", coll, "docs", len(snap.IDs),
-		"epoch", snap.Position.Epoch, "offset", snap.Position.Offset)
+		"collection", coll, "docs", len(snap.Manifest.Docs), "fetched", fetched,
+		"epoch", snap.Epoch)
 	return nil
 }
 
@@ -501,26 +520,46 @@ func (f *Follower) nextRequestID() string {
 	return f.ridPrefix + "/" + strconv.FormatInt(f.ridSeq.Add(1), 10)
 }
 
-// getJSON fetches a primary endpoint and decodes its JSON body.
-func (f *Follower) getJSON(ctx context.Context, path string, out any) error {
+// get issues a GET against a primary endpoint and returns the body of its
+// 200 answer; any other status is an error, typed when the body carries a
+// code. A 404 wraps errGone.
+func (f *Follower) get(ctx context.Context, path string) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.opts.Primary+path, nil)
 	if err != nil {
-		return fmt.Errorf("replica: %w", err)
+		return nil, fmt.Errorf("replica: %w", err)
 	}
 	req.Header.Set("X-Request-Id", f.nextRequestID())
 	resp, err := f.opts.Client.Do(req)
 	if err != nil {
-		return fmt.Errorf("replica: %w", err)
+		return nil, fmt.Errorf("replica: %w", err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp.Body, nil
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		if fe := parseFeedError(resp.StatusCode, body); fe != nil {
-			return fmt.Errorf("replica: GET %s: %w", path, fe)
-		}
-		return fmt.Errorf("replica: GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(body))
+	body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+	if fe := parseFeedError(resp.StatusCode, body); fe != nil {
+		return nil, fmt.Errorf("replica: GET %s: %w", path, fe)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if resp.StatusCode == http.StatusNotFound {
+		return nil, fmt.Errorf("replica: GET %s: %w", path, errGone)
+	}
+	return nil, fmt.Errorf("replica: GET %s: %s: %s", path, resp.Status, bytes.TrimSpace(body))
+}
+
+// errGone reports a resource the primary no longer holds — during a
+// bootstrap, a file a later fold unlinked: the follower re-bootstraps
+// after one poll interval, without backing off.
+var errGone = errors.New("not found")
+
+// getJSON fetches a primary endpoint and decodes its JSON body.
+func (f *Follower) getJSON(ctx context.Context, path string, out any) error {
+	body, err := f.get(ctx, path)
+	if err != nil {
+		return err
+	}
+	defer body.Close()
+	if err := json.NewDecoder(body).Decode(out); err != nil {
 		return fmt.Errorf("replica: GET %s: bad JSON: %w", path, err)
 	}
 	return nil
@@ -551,57 +590,6 @@ func (f *Follower) fetchWAL(ctx context.Context, coll string, epoch uint64, from
 		return nil, err
 	}
 	return &chunk, nil
-}
-
-// fetchSnapshot downloads one bootstrap snapshot, spooling the body to a
-// temporary file in the store's directory before decoding. Spooling keeps
-// bootstrap memory bounded by the decoded collection alone — the serialized
-// bytes live on disk, never on the heap next to their decoded form — which
-// is what lets a follower bootstrap collections larger than its RAM
-// headroom. The spool file is hidden from the store's startup scan (its
-// suffix is neither .wal nor .manifest) and removed before returning.
-func (f *Follower) fetchSnapshot(ctx context.Context, coll string) (*ingest.ReplicaSnapshot, error) {
-	q := url.Values{}
-	q.Set("collection", coll)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		f.opts.Primary+"/v1/replication/snapshot?"+q.Encode(), nil)
-	if err != nil {
-		return nil, fmt.Errorf("replica: %w", err)
-	}
-	req.Header.Set("X-Request-Id", f.nextRequestID())
-	resp, err := f.opts.Client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("replica: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		if fe := parseFeedError(resp.StatusCode, body); fe != nil {
-			return nil, fmt.Errorf("replica: snapshot of %q: %w", coll, fe)
-		}
-		return nil, fmt.Errorf("replica: snapshot of %q: %s: %s", coll, resp.Status, bytes.TrimSpace(body))
-	}
-	dir := ""
-	if f.opts.Store != nil {
-		dir = f.opts.Store.Options().Dir
-	}
-	spool, err := os.CreateTemp(dir, ".snapshot-*.spool")
-	if err != nil {
-		// No spool space: decode the stream directly rather than fail the
-		// bootstrap — only the memory bound is lost, not correctness.
-		return ReadSnapshot(resp.Body)
-	}
-	defer func() {
-		spool.Close()
-		os.Remove(spool.Name())
-	}()
-	if _, err := io.Copy(spool, resp.Body); err != nil {
-		return nil, fmt.Errorf("replica: spooling snapshot of %q: %w", coll, err)
-	}
-	if _, err := spool.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("replica: spooling snapshot of %q: %w", coll, err)
-	}
-	return ReadSnapshot(bufio.NewReader(spool))
 }
 
 // Status reports per-collection replication lag in name order.

@@ -9,35 +9,41 @@
 //     whenever the log's byte history is invalidated (compaction, torn-tail
 //     repair), so an (epoch, offset) pair names one immutable byte range
 //     forever;
-//   - the snapshot: a gob-encoded image of the complete live document set
-//     together with the WAL position it is consistent with, used for
-//     bootstrap and for recovering from an epoch change.
+//   - the snapshot: the collection's committed manifest (JSON) and its
+//     epoch, naming immutable index files the file resource serves by
+//     number. It is consistent with position (epoch, 0): that epoch's WAL
+//     holds exactly what the manifest lacks.
 //
 // The follower side (Follower) discovers the primary's collections, fetches
-// a snapshot for each, applies it into its own ingest.Store through the
-// apply-without-logging path, then tails the WAL stream — decoding frames
-// with ingest.ScanWAL and applying the records batch by batch. A follower
-// that falls off the stream (primary compacted, primary restarted after a
-// crash, arbitrary network failure) re-bootstraps from a fresh snapshot;
-// index construction is skipped for documents whose content is unchanged,
-// so recovering from a compaction costs no rebuilds.
+// a snapshot for each and installs it into its own ingest.Store
+// (Store.Install): files whose (id, sum) its own manifest already names are
+// kept, open, and only the others are copied, each checked against its
+// SHA-256. It then tails the WAL stream from (epoch, 0) — decoding frames
+// with ingest.ScanWAL and applying the records batch by batch through the
+// apply-without-logging path. A follower that falls off the stream (primary
+// compacted, primary restarted after a crash, arbitrary network failure)
+// re-bootstraps from a fresh snapshot, which copies only the files it
+// lacks and builds no index.
 //
 // Invariants:
 //
 //   - frames returned by the feed always end on a record boundary, so a
 //     follower never buffers partial frames across polls;
-//   - a snapshot's Position replays nothing older than the snapshot:
-//     tailing from it observes exactly the mutations after the image;
+//   - tailing from a snapshot's (epoch, 0) observes exactly the mutations
+//     its manifest lacks (records it already covers replay idempotently);
 //   - applying the same final document set yields bit-identical
 //     Search/TopK/Count answers on primary and follower (both are
 //     equivalent to a static catalog over that set).
 package replica
 
 import (
-	"encoding/gob"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 
+	"repro/internal/catalog"
 	"repro/internal/ingest"
 )
 
@@ -99,38 +105,50 @@ func (f *Feed) WAL(coll string, epoch uint64, from int64) (*WALChunk, error) {
 	return chunk, nil
 }
 
-// snapshotFormat tags the snapshot wire layout; bump on incompatible change.
-const snapshotFormat = 1
-
-// snapshotWire wraps the store's snapshot with a format tag for the wire.
-type snapshotWire struct {
-	Format   int
-	Snapshot *ingest.ReplicaSnapshot
+// Snapshot is the JSON body answering a snapshot request: a collection's
+// committed manifest, which names its index files, and the epoch it was
+// committed under. A follower installing it tails from (Epoch, 0);
+// Committed and Records describe the primary's WAL head at capture, so a
+// freshly bootstrapped follower already knows how far it has to tail.
+type Snapshot struct {
+	Collection string           `json:"collection"`
+	Epoch      uint64           `json:"epoch"`
+	Committed  int64            `json:"committed"`
+	Records    int64            `json:"records"`
+	Manifest   catalog.Manifest `json:"manifest"`
 }
 
-// WriteSnapshot captures and streams a bootstrap snapshot of one collection.
-func (f *Feed) WriteSnapshot(w io.Writer, coll string) error {
-	snap, err := f.st.Snapshot(coll)
+// Snapshot captures the bootstrap image of one collection.
+func (f *Feed) Snapshot(coll string) (*Snapshot, error) {
+	m, pos, err := f.st.ReplicaManifest(coll)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := gob.NewEncoder(w).Encode(snapshotWire{Format: snapshotFormat, Snapshot: snap}); err != nil {
-		return fmt.Errorf("replica: encoding snapshot of %q: %w", coll, err)
-	}
-	return nil
+	return &Snapshot{Collection: coll, Epoch: pos.Epoch, Committed: pos.Offset, Records: pos.Records, Manifest: m}, nil
 }
 
-// ReadSnapshot decodes a snapshot written by WriteSnapshot.
-func ReadSnapshot(r io.Reader) (*ingest.ReplicaSnapshot, error) {
-	var wire snapshotWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("replica: decoding snapshot: %w", err)
+// File opens index file n of a collection, as a snapshot names it. A file a
+// later fold unlinked fails with an error wrapping fs.ErrNotExist.
+func (f *Feed) File(coll string, n uint64) (*os.File, error) {
+	if _, ok := f.st.Get(coll); !ok {
+		return nil, fmt.Errorf("%w: %q", ingest.ErrUnknownCollection, coll)
 	}
-	if wire.Format != snapshotFormat {
-		return nil, fmt.Errorf("replica: unsupported snapshot format %d (want %d)", wire.Format, snapshotFormat)
+	return os.Open(catalog.IxPath(f.st.Options().Dir, coll, n))
+}
+
+// ErrPrimaryTooOld reports a snapshot body that is not JSON: the primary
+// predates manifest replication and must be upgraded first.
+var ErrPrimaryTooOld = errors.New("replica: the primary's snapshot is not a manifest; upgrade the primary")
+
+// decodeSnapshot reads the snapshot of coll from a response body.
+func decodeSnapshot(coll string, body io.Reader) (*Snapshot, error) {
+	var snap Snapshot
+	if err := json.NewDecoder(body).Decode(&snap); err != nil {
+		var syntax *json.SyntaxError
+		if errors.As(err, &syntax) {
+			return nil, fmt.Errorf("%w (%v)", ErrPrimaryTooOld, err)
+		}
+		return nil, fmt.Errorf("replica: decoding snapshot of %q: %w", coll, err)
 	}
-	if wire.Snapshot == nil {
-		return nil, fmt.Errorf("replica: snapshot body missing")
-	}
-	return wire.Snapshot, nil
+	return &snap, nil
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -39,6 +41,19 @@ func openStore(t *testing.T, threshold int) *ingest.Store {
 	}
 	t.Cleanup(func() { st.Close() })
 	return st
+}
+
+// snapshotOf returns the bootstrap manifest of one collection of st and a
+// fetch reading its files straight from st's directory.
+func snapshotOf(t *testing.T, st *ingest.Store, coll string) (catalog.Manifest, func(catalog.ManifestDoc) (io.ReadCloser, error)) {
+	t.Helper()
+	m, _, err := st.ReplicaManifest(coll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, func(d catalog.ManifestDoc) (io.ReadCloser, error) {
+		return os.Open(catalog.IxPath(st.Options().Dir, coll, d.File))
+	}
 }
 
 // newPrimary builds a mutable primary and serves it over httptest.

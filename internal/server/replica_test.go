@@ -1,12 +1,15 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/replica"
 )
 
@@ -155,22 +158,30 @@ func TestReplicationFeedEndpoints(t *testing.T) {
 	get(t, s, "/v1/replication/wal?epoch=0&from=0", http.StatusBadRequest, nil)
 	get(t, s, "/v1/replication/wal?collection=prot&from=oops", http.StatusBadRequest, nil)
 
-	req := httptest.NewRequest(http.MethodGet, "/v1/replication/snapshot?collection=prot", nil)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("snapshot status %d: %s", rec.Code, rec.Body)
+	var snap replica.Snapshot
+	get(t, s, "/v1/replication/snapshot?collection=prot", http.StatusOK, &snap)
+	if snap.Collection != "prot" || len(snap.Manifest.Docs) == 0 || snap.Epoch != pos.Epoch {
+		t.Fatalf("snapshot = collection %q, %d docs, epoch %d", snap.Collection, len(snap.Manifest.Docs), snap.Epoch)
 	}
-	snap, err := replica.ReadSnapshot(rec.Body)
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := find(snap.Manifest.Docs, "zzz-extra"); !ok {
+		t.Fatalf("snapshot misses the live put: %+v", snap.Manifest.Docs)
 	}
-	if snap.Name != "prot" || len(snap.IDs) == 0 || snap.Position.Epoch != pos.Epoch {
-		t.Fatalf("snapshot = name %q, %d ids, position %+v", snap.Name, len(snap.IDs), snap.Position)
+	// Every file the manifest names is served byte for byte: its SHA-256 is
+	// the manifest's sum.
+	for _, d := range snap.Manifest.Docs {
+		req := httptest.NewRequest(http.MethodGet, "/v1/replication/file?collection=prot&file="+
+			strconv.FormatUint(d.File, 10), nil)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		sum := sha256.Sum256(rec.Body.Bytes())
+		if rec.Code != http.StatusOK || hex.EncodeToString(sum[:]) != d.Sum {
+			t.Fatalf("file %d of %q: status %d, sum %x, manifest sum %s", d.File, d.ID, rec.Code, sum, d.Sum)
+		}
 	}
-	if _, ok := find(snap.IDs, "zzz-extra"); !ok {
-		t.Fatalf("snapshot misses the live put: %v", snap.IDs)
-	}
+	get(t, s, "/v1/replication/file?collection=prot&file="+strconv.FormatUint(snap.Manifest.Next, 10),
+		http.StatusNotFound, nil)
+	get(t, s, "/v1/replication/file?collection=prot&file=x", http.StatusBadRequest, nil)
+	get(t, s, "/v1/replication/file?collection=nope&file=0", http.StatusNotFound, nil)
 	get(t, s, "/v1/replication/snapshot?collection=nope", http.StatusNotFound, nil)
 	get(t, s, "/v1/replication/snapshot", http.StatusBadRequest, nil)
 
@@ -189,11 +200,11 @@ func TestReplicationFeedEndpoints(t *testing.T) {
 	}
 }
 
-func find(ids []string, want string) (int, bool) {
-	for i, id := range ids {
-		if id == want {
-			return i, true
+func find(docs []catalog.ManifestDoc, want string) (catalog.ManifestDoc, bool) {
+	for _, d := range docs {
+		if d.ID == want {
+			return d, true
 		}
 	}
-	return 0, false
+	return catalog.ManifestDoc{}, false
 }

@@ -1,11 +1,11 @@
 package server
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -67,57 +67,46 @@ func (s *Server) handleReplicationWAL(r *http.Request, _ *obs.Trace, _ *obs.Cost
 	return chunk, nil
 }
 
-// handleReplicationSnapshot streams a gob-encoded bootstrap snapshot of one
-// collection. Unlike the JSON endpoints it writes a binary body, so it
-// bypasses the limited() wrapper and does its own accounting; the snapshot
-// is buffered before the status is committed so an encoding failure can
-// still answer with a proper error response.
-func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, r *http.Request) {
-	ep := s.stats.endpoint("replication_snapshot")
-	ep.requests.Inc()
-	if r.Method != http.MethodGet {
-		ep.reject()
-		w.Header().Set("Allow", http.MethodGet)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "method not allowed"})
-		return
-	}
+// handleReplicationSnapshot answers a follower's bootstrap request with the
+// collection's committed manifest and epoch (replica.Snapshot), folding a
+// collection whose seed documents no manifest names yet.
+func (s *Server) handleReplicationSnapshot(r *http.Request, _ *obs.Trace, _ *obs.Cost) (any, error) {
 	coll := r.URL.Query().Get("collection")
 	if coll == "" {
-		ep.errors.Inc()
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing collection parameter"})
-		return
+		return nil, badRequest("missing collection parameter")
 	}
 	if err := s.feedRoleError(); err != nil {
-		ep.errors.Inc()
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	// Snapshots buffer a full copy of the collection, so they must respect
-	// the global in-flight bound like every other expensive request — a
-	// fleet of replicas bootstrapping at once is otherwise an unbounded
-	// memory amplifier. They run as the system tenant: admitted past the
-	// per-tenant quotas (a bootstrapping follower has no API key) but still
-	// occupying an execution slot.
-	release, shed := s.adm.admit(r.Context(), s.tenants.system)
-	if shed != nil {
-		ep.reject()
-		s.tenants.system.shed(shed.code)
-		s.stats.admissionShed.With(shed.code).Inc()
-		s.writeError(w, shed)
-		return
-	}
-	defer release()
-	begin := time.Now()
-	var buf bytes.Buffer
-	err := s.feed.WriteSnapshot(&buf, coll)
-	ep.observe(time.Since(begin))
+	snap, err := s.feed.Snapshot(coll)
 	if err != nil {
-		ep.errors.Inc()
-		err = mutationStatus(err)
-		writeJSON(w, errorStatus(err), errorResponse{Error: err.Error()})
-		return
+		return nil, mutationStatus(err)
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Write(buf.Bytes())
+	return snap, nil
+}
+
+// handleReplicationFile answers one index file a snapshot names, streamed
+// from disk. A file a later fold unlinked answers 404; the follower then
+// re-bootstraps.
+func (s *Server) handleReplicationFile(r *http.Request, _ *obs.Trace, _ *obs.Cost) (any, error) {
+	q := r.URL.Query()
+	coll := q.Get("collection")
+	if coll == "" {
+		return nil, badRequest("missing collection parameter")
+	}
+	n, err := strconv.ParseUint(q.Get("file"), 10, 64)
+	if err != nil {
+		return nil, badRequest("bad file number %q", q.Get("file"))
+	}
+	if err := s.feedRoleError(); err != nil {
+		return nil, err
+	}
+	f, err := s.feed.File(coll, n)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("file %d of %q is gone", n, coll)}
+	}
+	if err != nil {
+		return nil, mutationStatus(err)
+	}
+	return f, nil
 }

@@ -19,7 +19,12 @@
 //	POST /v1/compact[?collection=C]                fold into the manifest,
 //	                                               truncate the WAL
 //	GET /v1/replication/wal?collection=C&epoch=E&from=O   tail the WAL feed
-//	GET /v1/replication/snapshot?collection=C      bootstrap snapshot (gob)
+//	GET /v1/replication/snapshot?collection=C      bootstrap snapshot: the
+//	                                               committed manifest and
+//	                                               its epoch, the position
+//	                                               (epoch, 0)
+//	GET /v1/replication/file?collection=C&file=N   index file N of the
+//	                                               manifest (raw bytes)
 //	GET /v1/stats                                  counters, collections,
 //	                                               role, per-collection
 //	                                               memory (see OPERATIONS.md)
@@ -80,6 +85,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -459,7 +465,10 @@ func newServer(src source, role Role, st *ingest.Store, cfg Config) *Server {
 		s.feed = replica.NewFeed(st)
 		s.mux.HandleFunc("/v1/replication/wal",
 			s.limitedSystem("replication_wal", http.MethodGet, s.handleReplicationWAL))
-		s.mux.HandleFunc("/v1/replication/snapshot", s.handleReplicationSnapshot)
+		s.mux.HandleFunc("/v1/replication/snapshot",
+			s.limitedSystem("replication_snapshot", http.MethodGet, s.handleReplicationSnapshot))
+		s.mux.HandleFunc("/v1/replication/file",
+			s.limitedSystem("replication_file", http.MethodGet, s.handleReplicationFile))
 	}
 	return s
 }
@@ -739,7 +748,11 @@ func (s *Server) governed(name, method string, system bool, fn func(*http.Reques
 		if debug {
 			writeDebugHeaders(w, tr, cost)
 		}
-		if err != nil {
+		if f, ok := resp.(*os.File); ok && err == nil {
+			// A raw file answer (the replication file endpoint).
+			http.ServeContent(w, r, "", time.Time{}, f)
+			f.Close()
+		} else if err != nil {
 			ep.errors.Inc()
 			s.writeError(w, err)
 		} else {

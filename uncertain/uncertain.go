@@ -64,9 +64,9 @@
 //
 // A mutable store's write-ahead logs double as a replication feed: a
 // primary daemon serves them over HTTP, and a Follower (NewFollower) tails
-// them into a local read-only IngestStore — bootstrapping from a snapshot,
-// resuming from its byte offset after reconnects, and re-bootstrapping when
-// the primary compacts a log away. A caught-up follower answers
+// them into a local read-only IngestStore — copying the primary's index
+// files it lacks, resuming from its byte offset after reconnects, and
+// re-bootstrapping when the primary compacts a log away. A caught-up follower answers
 // Search/TopK/Count bit-identically to its primary. See cmd/ustridxd's
 // -follow flag for the packaged replica daemon.
 //
@@ -365,11 +365,6 @@ func OpenIngest(cat *Catalog, opts IngestOptions) (*IngestStore, error) {
 
 // WALRecord is one logged (and replicated) mutation of an IngestStore.
 type WALRecord = ingest.WALRecord
-
-// ReplicaSnapshot is the bootstrap image a primary hands a follower: one
-// collection's complete live document set plus the log position it is
-// consistent with.
-type ReplicaSnapshot = ingest.ReplicaSnapshot
 
 // Follower tails a primary daemon's write-ahead logs into a local
 // IngestStore, turning it into a read replica with bit-identical query

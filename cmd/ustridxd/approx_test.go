@@ -33,7 +33,7 @@ func TestDaemonServesApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cacheMismatch(cached, dataDir); err != nil {
+	if err := cacheMismatch(cached, dataDir, cacheDir); err != nil {
 		t.Fatalf("matching approx cache reported a mismatch: %v", err)
 	}
 	a, _ := built.Get("prot")

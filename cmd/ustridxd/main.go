@@ -149,7 +149,7 @@ func run(args []string) error {
 	longCap := fs.Int("longcap", 0, "long-pattern blocking cap (0 = library default)")
 	backend := fs.String("backend", core.BackendPlain, "index backend for collections: plain (fastest exact queries), compressed (FM-index; several-fold smaller resident memory, results bit-identical) or approx (Section 7 ε-index; optimal query time for any pattern length, additive error epsilon, no top-k)")
 	epsilon := fs.Float64("epsilon", 0, "additive error bound for the approx backend (0 = library default); requires -backend approx")
-	indexCache := fs.String("index-cache", "", "directory for persisted indexes (load if present, save after build; rebuilt when taumin or the data directory's collection set changes — wipe it after editing an existing data file)")
+	indexCache := fs.String("index-cache", "", "directory for persisted indexes (load if present, save after build; rebuilt when taumin, the data directory's collection set or a data file's mtime changes)")
 	mmapIndexes := fs.Bool("mmap", false, "mmap format-4 index files from -index-cache (and the WAL directory's compaction caches) instead of reading them onto the heap: process start is O(1) per document and resident memory tracks the queried working set, not the corpus")
 	hotCollections := fs.Int("hot-collections", 0, "max collections resident at once (0 = unbounded); beyond it the least recently used collection is evicted and transparently re-mapped from -index-cache on its next query (requires -index-cache)")
 	cacheEntries := fs.Int("cache-entries", server.DefaultCacheEntries, "result cache capacity (negative disables)")
@@ -453,17 +453,16 @@ func loadCatalog(dataDir, cacheDir string, opts catalog.Options, logf func(strin
 			begin := time.Now()
 			cat, err := catalog.Load(cacheDir, opts)
 			if err == nil {
-				if err = cacheMismatch(cat, dataDir); err != nil {
+				if err = cacheMismatch(cat, dataDir, cacheDir); err != nil {
 					cat.Close() // releases its mappings before the rebuild
 				}
 			}
 			switch {
 			case err != nil:
 				// The cache is unreadable, or disagrees with the requested
-				// flags or the data directory's collection set; honouring
-				// them requires a rebuild. (Edits *inside* an existing
-				// collection file are not detected — wipe the cache after
-				// editing data.)
+				// flags or the data directory (its collection set, or a data
+				// file modified since its collection was cached); honouring
+				// them requires a rebuild.
 				logf("index cache %s unusable (%v), rebuilding", cacheDir, err)
 			case len(cat.Names()) > 0:
 				logf("loaded %d collections from index cache %s in %v", len(cat.Names()), cacheDir, time.Since(begin))
@@ -492,9 +491,11 @@ func loadCatalog(dataDir, cacheDir string, opts catalog.Options, logf func(strin
 
 // cacheMismatch reports why a loaded index cache cannot be served: a
 // collection built for a different construction threshold or long-pattern
-// cap than requested, or a collection set that no longer matches the data
-// directory (a file added or removed since the cache was written).
-func cacheMismatch(cat *catalog.Catalog, dataDir string) error {
+// cap than requested, a collection set that no longer matches the data
+// directory (a file added or removed since the cache was written), or a data
+// file whose mtime is not before its collection's manifest in cacheDir (the
+// file was edited after, or in the same clock tick as, the cache was saved).
+func cacheMismatch(cat *catalog.Catalog, dataDir, cacheDir string) error {
 	want := cat.Options()
 	for _, info := range cat.Stats() {
 		if info.TauMin != want.TauMin {
@@ -519,8 +520,20 @@ func cacheMismatch(cat *catalog.Catalog, dataDir string) error {
 		return fmt.Errorf("holds %d collections but %s has %d", len(cached), dataDir, len(sources))
 	}
 	for _, name := range cached {
-		if _, ok := sources[name]; !ok {
+		file, ok := sources[name]
+		if !ok {
 			return fmt.Errorf("holds collection %q which is not in %s", name, dataDir)
+		}
+		data, err := os.Stat(filepath.Join(dataDir, file))
+		if err != nil {
+			return err
+		}
+		man, err := os.Stat(catalog.ManifestPath(cacheDir, name))
+		if err != nil {
+			return err
+		}
+		if !data.ModTime().Before(man.ModTime()) {
+			return fmt.Errorf("holds collection %q but %s was modified after it was cached", name, file)
 		}
 	}
 	return nil

@@ -143,6 +143,54 @@ func TestLoadCatalogRebuildsOnDataSetChange(t *testing.T) {
 	}
 }
 
+// TestLoadCatalogRebuildsOnDataEdit: editing a document inside a cached
+// collection's data file must invalidate the index cache, so the next start
+// answers from the edited data, not the stale index.
+func TestLoadCatalogRebuildsOnDataEdit(t *testing.T) {
+	dataDir, _ := writeDataDir(t)
+	cacheDir := filepath.Join(t.TempDir(), "cache")
+	logf := func(string, ...any) {}
+	opts := catalog.Options{TauMin: 0.1}
+	if _, err := loadCatalog(dataDir, cacheDir, opts, logf); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite one byte: the first certain position's character becomes 'x',
+	// which the generator never emits, so "x" goes from no hits to some.
+	path := filepath.Join(dataDir, "prot.ustr")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(raw, []byte(":1\n"))
+	if i < 1 || bytes.IndexByte(raw, 'x') >= 0 {
+		t.Fatalf("unexpected data file layout (certain position at %d)", i)
+	}
+	raw[i-1] = 'x'
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, err := os.Stat(catalog.ManifestPath(cacheDir, "prot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := man.ModTime().Add(time.Second)
+	if err := os.Chtimes(path, later, later); err != nil {
+		t.Fatal(err)
+	}
+	cat, err := loadCatalog(dataDir, cacheDir, opts, logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, _ := cat.Get("prot")
+	hits, err := col.Search([]byte("x"), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) == 0 {
+		t.Fatal("edited data file still served from the stale index cache")
+	}
+}
+
 // TestLoadCatalogLongCapEquivalence: -longcap 0 (default) and an explicit
 // -longcap equal to the library default are the same effective
 // configuration and must not force a rebuild, while a genuinely different
@@ -158,7 +206,7 @@ func TestLoadCatalogLongCapEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cacheMismatch(cat, dataDir); err != nil {
+	if err := cacheMismatch(cat, dataDir, cacheDir); err != nil {
 		t.Fatalf("explicit default longcap reported a mismatch: %v", err)
 	}
 	rebuilt := false

@@ -40,8 +40,8 @@ import (
 	"repro/internal/ustring"
 )
 
-// Backend kind names, as spelled in configuration flags, manifests, sidecars
-// and the persisted index envelope.
+// Backend kind names, as spelled in configuration flags, a collection's
+// <name>.manifest and the persisted index envelope.
 const (
 	// BackendPlain is the uncompressed Section 4/5 index (*Index).
 	BackendPlain = "plain"
@@ -101,10 +101,11 @@ type Capabilities struct {
 }
 
 // BackendSpec names a backend kind together with its construction
-// parameters — the value that travels through catalog options, ingest
-// sidecars, cache manifests and replication snapshots, so every layer
-// rebuilds a collection into the identical representation. The zero value
-// means "the plain backend".
+// parameters — the value that travels through catalog options and every
+// collection's <name>.manifest (a WAL directory's, an index cache's, and the
+// one a follower copies from its primary), so every layer rebuilds a
+// collection into the identical representation. The zero value means "the
+// plain backend".
 type BackendSpec struct {
 	// Kind is one of BackendPlain, BackendCompressed, BackendApprox.
 	Kind string
@@ -155,8 +156,8 @@ func (sp BackendSpec) String() string {
 	return sp.Kind
 }
 
-// Encode renders the spec in the durable single-line form sidecars and
-// manifests store: the bare kind for exact backends, "approx <epsilon>" for
+// Encode renders the spec in the durable single-line form a manifest's
+// "spec" field stores: the bare kind for exact backends, "approx <epsilon>" for
 // the ε-index. DecodeBackendSpec round-trips it exactly (the epsilon is
 // formatted shortest-exact).
 func (sp BackendSpec) Encode() string {
@@ -170,8 +171,9 @@ func (sp BackendSpec) Encode() string {
 }
 
 // DecodeBackendSpec parses the durable form written by Encode. A bare kind
-// (the pre-approx sidecar format) decodes to that kind with no parameters,
-// so sidecars written before the spec existed keep loading.
+// decodes to that kind with no parameters; it is also the whole content of
+// the legacy <name>.backend sidecar, which only ingest's one-shot conversion
+// of an old WAL directory still reads.
 func DecodeBackendSpec(s string) (BackendSpec, error) {
 	fields := strings.Fields(s)
 	switch len(fields) {

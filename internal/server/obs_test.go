@@ -1,12 +1,16 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/obs"
 )
 
@@ -204,5 +208,57 @@ func TestMetricsScrapeJSONStatsAgree(t *testing.T) {
 	}
 	if !strings.Contains(body, `ustridx_requests_total{endpoint="query"} 3`) {
 		t.Fatal("/metrics disagrees with /v1/stats on the request count")
+	}
+}
+
+// TestDebugObsHeaders: a query sent with X-Debug-Obs: 1 answers with the
+// per-stage Server-Timing header (fan-out and backend search among its
+// stages) and an X-Query-Cost header holding a JSON cost snapshot, on every
+// backend kind; the same query without the header carries neither.
+func TestDebugObsHeaders(t *testing.T) {
+	docs := gen.Collection(gen.Config{N: 800, Theta: 0.3, Seed: 71})
+	cat := catalog.New(catalog.Options{TauMin: 0.1, Shards: 3, Epsilon: 0.05})
+	kinds := []string{core.BackendPlain, core.BackendCompressed, core.BackendApprox}
+	for _, kind := range kinds {
+		if _, err := cat.AddWithBackend(kind, docs, kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// With the result cache off every request runs the fan-out.
+	s := New(cat, Config{CacheEntries: -1})
+	p := pattern(t, docs, 3)
+	for _, kind := range kinds {
+		url := "/v1/query?collection=" + kind + "&p=" + p + "&tau=0.15"
+		req := httptest.NewRequest(http.MethodGet, url, nil)
+		req.Header.Set(DebugObsHeader, "1")
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d, body %s", kind, rec.Code, rec.Body)
+		}
+		timing := rec.Header().Get("Server-Timing")
+		for _, stage := range []string{"fanout;dur=", "backend_search;dur="} {
+			if !strings.Contains(timing, stage) {
+				t.Errorf("%s: Server-Timing %q lacks %q", kind, timing, stage)
+			}
+		}
+		var cost obs.CostSnapshot
+		if err := json.Unmarshal([]byte(rec.Header().Get("X-Query-Cost")), &cost); err != nil {
+			t.Fatalf("%s: X-Query-Cost %q: %v", kind, rec.Header().Get("X-Query-Cost"), err)
+		}
+		if cost.Candidates == 0 && cost.SuffixSteps == 0 {
+			t.Errorf("%s: X-Query-Cost %+v counts no candidates and no suffix steps", kind, cost)
+		}
+
+		rec = httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s without the header: status %d", kind, rec.Code)
+		}
+		for _, h := range []string{"Server-Timing", "X-Query-Cost"} {
+			if v := rec.Header().Get(h); v != "" {
+				t.Errorf("%s without X-Debug-Obs: %s = %q", kind, h, v)
+			}
+		}
 	}
 }

@@ -280,7 +280,7 @@ func intsEqual(a, b []int) bool {
 
 func printSpace(sp core.SpaceBreakdown) {
 	fmt.Printf("index bytes:        %d\n", sp.Total())
-	fmt.Printf("  text+SA/LCP:      %d\n", sp.TextAndSA)
+	fmt.Printf("  text+SA:          %d\n", sp.TextAndSA)
 	fmt.Printf("  C array:          %d\n", sp.ProbArray)
 	fmt.Printf("  Pos/keys:         %d\n", sp.PosAndKeys)
 	fmt.Printf("  short RMQ levels: %d\n", sp.ShortLevels)

@@ -23,10 +23,11 @@
 // (see internal/ustring's text encoding) and served under its base name.
 // With -index-cache, built indexes are persisted to (and on restart loaded
 // from) the given directory, skipping the expensive Lemma 2 transformation.
-// Adding -mmap maps compressed (format-4) index files into the process
-// instead of decoding them onto the heap: start time becomes O(1) per
-// document and resident memory tracks the queried working set rather than
-// the corpus, so corpora larger than RAM stay servable. -hot-collections N
+// Adding -mmap maps plain and compressed (format-4) index files into the
+// process instead of reading them onto the heap: resident memory tracks the
+// queried working set rather than the corpus, so corpora larger than RAM
+// stay servable, and a compressed document opens in O(1) (a plain one in
+// O(its text), which its open proves in range). -hot-collections N
 // bounds how many collections are resident at once; the least recently used
 // is evicted and transparently re-mapped from -index-cache on its next
 // query. See OPERATIONS.md § "Zero-copy serving".

@@ -4,7 +4,10 @@
 // rather than words.
 package bitset
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Set is a fixed-capacity bit vector.
 type Set struct {
@@ -14,7 +17,19 @@ type Set struct {
 
 // New returns a Set capable of holding n bits, all initially zero.
 func New(n int) *Set {
-	return &Set{words: make([]uint64, (n+63)/64), n: n}
+	return &Set{words: make([]uint64, Words(n)), n: n}
+}
+
+// Words returns the number of 64-bit words a Set of n bits occupies.
+func Words(n int) int { return (n + 63) / 64 }
+
+// FromWords returns a Set of n bits over words, which it retains; words
+// must hold Words(n) entries.
+func FromWords(words []uint64, n int) (*Set, error) {
+	if len(words) != Words(n) {
+		return nil, fmt.Errorf("bitset: %d words for %d bits, want %d", len(words), n, Words(n))
+	}
+	return &Set{words: words, n: n}, nil
 }
 
 // Len returns the capacity in bits.

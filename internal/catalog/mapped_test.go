@@ -38,8 +38,19 @@ func collGrid(t *testing.T, docs []*ustring.String, col *Collection) []any {
 // identically, and that the mmap path skips every decode while reporting
 // its mapped footprint.
 func TestMMapLoadEquivalence(t *testing.T) {
+	checkLoadPaths(t, core.BackendCompressed)
+}
+
+// TestMMapLoadEquivalencePlain is TestMMapLoadEquivalence for the plain
+// backend, whose files are envelopes too; every path also reports the
+// built collection's index bytes.
+func TestMMapLoadEquivalencePlain(t *testing.T) {
+	checkLoadPaths(t, core.BackendPlain)
+}
+
+func checkLoadPaths(t *testing.T, kind string) {
 	docs := testDocs(t, 800, 83)
-	built := New(Options{TauMin: 0.1, Shards: 3, Backend: core.BackendCompressed})
+	built := New(Options{TauMin: 0.1, Shards: 3, Backend: kind})
 	if _, err := built.Add("coll", docs); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +62,7 @@ func TestMMapLoadEquivalence(t *testing.T) {
 	want := collGrid(t, docs, base)
 
 	t.Run("heap", func(t *testing.T) {
-		c, err := Load(dir, Options{Shards: 3, Backend: core.BackendCompressed})
+		c, err := Load(dir, Options{Shards: 3, Backend: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,6 +73,9 @@ func TestMMapLoadEquivalence(t *testing.T) {
 		if got := collGrid(t, docs, col); !reflect.DeepEqual(got, want) {
 			t.Fatal("heap cache load diverges from the built catalog")
 		}
+		if col.IndexBytes() != base.IndexBytes() {
+			t.Fatalf("IndexBytes = %d, built collection %d", col.IndexBytes(), base.IndexBytes())
+		}
 		// Format-4 files skip the decode path even without mmap.
 		if ms := c.MappedStats(); ms.DecodeSkips != int64(len(docs)) {
 			t.Fatalf("DecodeSkips = %d, want %d", ms.DecodeSkips, len(docs))
@@ -70,7 +84,7 @@ func TestMMapLoadEquivalence(t *testing.T) {
 
 	t.Run("mmap", func(t *testing.T) {
 		reg := obs.NewRegistry()
-		c, err := Load(dir, Options{Shards: 3, Backend: core.BackendCompressed, MMap: true, Metrics: reg})
+		c, err := Load(dir, Options{Shards: 3, Backend: kind, MMap: true, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,6 +94,9 @@ func TestMMapLoadEquivalence(t *testing.T) {
 		}
 		if got := collGrid(t, docs, col); !reflect.DeepEqual(got, want) {
 			t.Fatal("mmap cache load diverges from the built catalog")
+		}
+		if col.IndexBytes() != base.IndexBytes() {
+			t.Fatalf("IndexBytes = %d, built collection %d", col.IndexBytes(), base.IndexBytes())
 		}
 		ms := c.MappedStats()
 		if ms.DecodeSkips != int64(len(docs)) {

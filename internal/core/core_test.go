@@ -120,7 +120,7 @@ func TestSearchRealisticWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	lvl := ix.Engine().ShortLevels()
-	t.Logf("short levels: %d, long levels: %v..%v", lvl, ix.tr.MaxFactorLen, ix.Engine().ShortLevels())
+	t.Logf("short levels: %d, long levels: %v..%v", lvl, ix.Transformed().MaxFactorLen, ix.Engine().ShortLevels())
 	rng := rand.New(rand.NewSource(71))
 	for _, m := range []int{1, 2, 3, 5, 8, lvl, lvl + 1, lvl + 3, 25, 60} {
 		pats := gen.Patterns(s, 15, m, rng.Int63())

@@ -104,7 +104,10 @@ type EngineConfig struct {
 	MaxWindow int
 }
 
-// Engine is the threshold index over a probability-annotated text.
+// Engine is the threshold index over a probability-annotated text. It holds
+// exactly what a query reads — no LCP or inverse suffix array, which only
+// construction needs — so an engine built here and one assembled over a
+// stored envelope (plain4.go) hold the same structures.
 type Engine struct {
 	tx   *suffix.Text
 	pre  *prob.Prefix
@@ -113,16 +116,21 @@ type Engine struct {
 	keys int // exclusive bound on key values, sizing the keep-max tables
 	corr func(xStart, length int) float64
 
-	levels  int // number of short levels (the paper's log N)
-	short   []*rmq.Block
-	dup     []*bitset.Set
-	longCap int
+	levels int // number of short levels (the paper's log N)
+	short  []*rmq.Block
+	// dup[i-1] marks level i's duplicates; every level's bits lie in
+	// dupWords, level by level, so they persist as one region.
+	dup      []*bitset.Set
+	dupWords []uint64
+	longCap  int
 
 	// Long-pattern blocking: longPB[i-levels-1][b] holds the block maximum
-	// of Ci for blocks of size i; longRMQ answers block-range maxima.
+	// of Ci for blocks of size i; longRMQ answers block-range maxima. Every
+	// level's maxima lie in longMax, level by level.
 	longLo  int // first long length = levels+1
 	longHi  int // last long length covered
 	longPB  [][]float32
+	longMax []float32
 	longRMQ []*rmq.Block
 }
 
@@ -131,8 +139,9 @@ type Engine struct {
 // (Section 6).
 func NewEngine(cfg EngineConfig) *Engine {
 	n := len(cfg.T)
+	tx, lcp := suffix.NewSearch(cfg.T)
 	e := &Engine{
-		tx:      suffix.New(cfg.T),
+		tx:      tx,
 		pre:     prob.NewPrefix(cfg.LogP),
 		pos:     cfg.Pos,
 		key:     cfg.Key,
@@ -147,24 +156,16 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if n == 0 {
 		return e
 	}
-
-	maxWindow := cfg.MaxWindow
-	if maxWindow <= 0 || maxWindow > n {
-		maxWindow = n
-	}
-	// Short levels: lengths 1..⌊log2 N⌋, never beyond the longest window.
-	e.levels = bits.Len(uint(n)) - 1
-	if e.levels < 1 {
-		e.levels = 1
-	}
-	if e.levels > maxWindow {
-		e.levels = maxWindow
-	}
+	e.levels, e.longHi = engineLevels(n, cfg.MaxWindow, e.longCap)
+	e.longLo = e.levels + 1
+	e.dupWords = make([]uint64, e.levels*bitset.Words(n))
+	e.longMax = make([]float32, longBlocks(n, e.longLo, e.longHi))
+	e.setViews()
 
 	// The per-length structures are independent of each other; build them
 	// in parallel. Everything they read (suffix array, LCP, prefix sums,
-	// keys) is immutable after the suffix construction above.
-	e.dup = make([]*bitset.Set, e.levels)
+	// keys) is immutable after the suffix construction above, and each
+	// writes its own stretch of dupWords or longMax.
 	e.short = make([]*rmq.Block, e.levels)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > e.levels {
@@ -178,7 +179,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		go func(level int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			e.dup[level-1] = e.buildDup(level, cfg.KeySpace)
+			e.buildDup(level, cfg.KeySpace, lcp)
 			e.short[level-1] = rmq.NewBlock(n, func(j int) float64 { return e.ci(level, j) })
 		}(i)
 	}
@@ -186,43 +187,77 @@ func NewEngine(cfg EngineConfig) *Engine {
 
 	// Long levels: lengths levels+1 .. min(maxWindow, longCap), also
 	// independent per length.
-	e.longLo = e.levels + 1
-	e.longHi = maxWindow
-	if e.longHi > e.longCap {
-		e.longHi = e.longCap
-	}
-	if e.longHi >= e.longLo {
-		e.longPB = make([][]float32, e.longHi-e.longLo+1)
-		e.longRMQ = make([]*rmq.Block, e.longHi-e.longLo+1)
-		for i := e.longLo; i <= e.longHi; i++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				nb := (n + i - 1) / i
-				pb := make([]float32, nb)
-				for b := 0; b < nb; b++ {
-					lo := b * i
-					hi := lo + i
-					if hi > n {
-						hi = n
+	for i := e.longLo; i <= e.longHi; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			pb := e.longPB[i-e.longLo]
+			for b := range pb {
+				best := prob.LogZero
+				for j := b * i; j < min(b*i+i, n); j++ {
+					if v := e.rawCi(i, j); v > best {
+						best = v
 					}
-					best := prob.LogZero
-					for j := lo; j < hi; j++ {
-						if v := e.rawCi(i, j); v > best {
-							best = v
-						}
-					}
-					pb[b] = float32(best)
 				}
-				e.longPB[i-e.longLo] = pb
-				e.longRMQ[i-e.longLo] = rmq.NewBlock(nb, func(b int) float64 { return float64(pb[b]) })
-			}(i)
-		}
-		wg.Wait()
+				pb[b] = float32(best)
+			}
+		}(i)
 	}
+	wg.Wait()
+	e.buildLongRMQ()
 	return e
+}
+
+// engineLevels returns the number of short levels and the last long
+// length of an engine over n > 0 text positions: short levels cover
+// lengths 1..⌊log2 n⌋ (at least one), never beyond the longest window, and
+// long levels the lengths after them up to min(maxWindow, longCap).
+// maxWindow ≤ 0 means n.
+func engineLevels(n, maxWindow, longCap int) (levels, longHi int) {
+	if maxWindow <= 0 || maxWindow > n {
+		maxWindow = n
+	}
+	levels = max(bits.Len(uint(n))-1, 1)
+	return min(levels, maxWindow), min(maxWindow, longCap)
+}
+
+// longBlocks is the number of block maxima the long levels lo..hi hold
+// over n text positions: ⌈n/i⌉ for each length i.
+func longBlocks(n, lo, hi int) int {
+	total := 0
+	for i := lo; i <= hi; i++ {
+		total += (n + i - 1) / i
+	}
+	return total
+}
+
+// setViews cuts the per-level bitmaps and block-maxima slices out of
+// dupWords and longMax, whose lengths must fit levels, longLo and longHi.
+func (e *Engine) setViews() {
+	n := e.tx.Len()
+	wpl := bitset.Words(n)
+	e.dup = make([]*bitset.Set, e.levels)
+	for l := range e.dup {
+		// The slice holds exactly wpl words, FromWords' only condition.
+		e.dup[l], _ = bitset.FromWords(e.dupWords[l*wpl:(l+1)*wpl:(l+1)*wpl], n)
+	}
+	e.longPB = nil
+	for i, off := e.longLo, 0; i <= e.longHi; i++ {
+		nb := (n + i - 1) / i
+		e.longPB = append(e.longPB, e.longMax[off:off+nb:off+nb])
+		off += nb
+	}
+}
+
+// buildLongRMQ builds each long level's range-maximum structure over its
+// block maxima: one pass over longMax.
+func (e *Engine) buildLongRMQ() {
+	e.longRMQ = make([]*rmq.Block, len(e.longPB))
+	for i, pb := range e.longPB {
+		e.longRMQ[i] = rmq.NewBlock(len(pb), func(b int) float64 { return float64(pb[b]) })
+	}
 }
 
 // rawCi is the Ci value (log probability of the length-i window at the
@@ -249,17 +284,17 @@ func (e *Engine) ci(i, j int) float64 {
 	return e.rawCi(i, j)
 }
 
-// buildDup marks duplicates for level i: inside every maximal run of the
-// suffix array whose adjacent LCP values are ≥ i (one run = the suffix range
-// of one length-i string), all entries sharing a dedup key except the most
-// probable are marked. Section 5.2 (positions) / Section 6 (documents).
-func (e *Engine) buildDup(i, keySpace int) *bitset.Set {
+// buildDup marks duplicates for level i in dup[i-1]: inside every maximal
+// run of the suffix array whose adjacent LCP values are ≥ i (one run = the
+// suffix range of one length-i string), all entries sharing a dedup key
+// except the most probable are marked. Section 5.2 (positions) / Section 6
+// (documents).
+func (e *Engine) buildDup(i, keySpace int, lcp []int32) {
 	n := e.tx.Len()
-	dup := bitset.New(n)
+	dup := e.dup[i-1]
 	if keySpace <= 0 {
-		return dup
+		return
 	}
-	lcp := e.tx.LCP()
 	// stamp[k] = run id when key k was last seen; bestAt[k] = entry index of
 	// the best value seen for key k in the current run.
 	stamp := make([]int32, keySpace)
@@ -295,7 +330,6 @@ func (e *Engine) buildDup(i, keySpace int) *bitset.Set {
 			dup.Set(j)
 		}
 	}
-	return dup
 }
 
 // Hit is one reported entry of a query.
@@ -555,8 +589,8 @@ func (e *Engine) LongLevels() (lo, hi int) { return e.longLo, e.longHi }
 
 // SpaceBreakdown itemises the index memory, the Figure 9(c) accounting.
 type SpaceBreakdown struct {
-	TextAndSA   int // deterministic text + suffix/LCP/rank arrays
-	ProbArray   int // global C array
+	TextAndSA   int // deterministic text + suffix array and its directory
+	ProbArray   int // global C array (+ per-position log probabilities, when held)
 	PosAndKeys  int // Pos + dedup keys
 	ShortLevels int // RMQ_1..RMQ_logN + duplicate bitmaps
 	LongLevels  int // block maxima + their RMQs
@@ -567,12 +601,16 @@ func (s SpaceBreakdown) Total() int {
 	return s.TextAndSA + s.ProbArray + s.PosAndKeys + s.ShortLevels + s.LongLevels
 }
 
-// Space reports the memory footprint by component.
+// Space reports the memory footprint by component. Keys that alias Pos —
+// the substring indexes' — are counted once.
 func (e *Engine) Space() SpaceBreakdown {
 	var s SpaceBreakdown
 	s.TextAndSA = e.tx.Bytes()
 	s.ProbArray = e.pre.Bytes()
-	s.PosAndKeys = len(e.pos)*4 + len(e.key)*4
+	s.PosAndKeys = len(e.pos) * 4
+	if len(e.key) > 0 && (len(e.pos) == 0 || &e.key[0] != &e.pos[0]) {
+		s.PosAndKeys += len(e.key) * 4
+	}
 	for i := range e.short {
 		s.ShortLevels += e.short[i].Bytes() + e.dup[i].Bytes()
 	}

@@ -3,19 +3,34 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/factor"
+	"repro/internal/mapped"
 	"repro/internal/prob"
 	"repro/internal/ustring"
 )
 
 // Index is the paper's Section 5 index: substring searching in a general
-// uncertain string for any query threshold τ ≥ τmin.
+// uncertain string for any query threshold τ ≥ τmin. It keeps the engine,
+// the source and — only when the source declares correlations, whose
+// correction reads them — the transformation's per-position log
+// probabilities; the rest of the transformation is not retained
+// (Transformed recomputes it).
 type Index struct {
 	engine *Engine
-	tr     *factor.Transformed
-	src    *ustring.String
 	tauMin float64
+	logp   []float64 // nil without correlations
+
+	// The source string. For an index opened from a flat envelope it is
+	// materialised on first Source() call unless correlations need it on the
+	// query path; srcLen is valid either way. env, when set, backs the
+	// engine's arrays (heap or mmap'd) and is released by Close.
+	src     *ustring.String
+	srcLen  int
+	srcOnce sync.Once
+	srcFn   func() *ustring.String
+	env     *mapped.Envelope
 }
 
 // Option configures Build.
@@ -54,10 +69,17 @@ func Build(s *ustring.String, tauMin float64, opts ...Option) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{tr: tr, src: s, tauMin: tauMin}
+	return newIndex(s, tauMin, o.longCap, tr), nil
+}
+
+// newIndex indexes the transformation tr of s (fresh, or decoded from a
+// legacy gob file).
+func newIndex(s *ustring.String, tauMin float64, longCap int, tr *factor.Transformed) *Index {
+	ix := &Index{src: s, srcLen: s.Len(), tauMin: tauMin}
 	var corr func(xStart, length int) float64
 	if len(s.Corr) > 0 {
-		corr = ix.corrAdjust
+		ix.logp = tr.LogP
+		corr = ix.corrHook(tr.T, tr.Pos)
 	}
 	ix.engine = NewEngine(EngineConfig{
 		T:         tr.T,
@@ -66,10 +88,10 @@ func Build(s *ustring.String, tauMin float64, opts ...Option) (*Index, error) {
 		Key:       tr.Pos, // dedup key = original position (Section 5.2)
 		KeySpace:  s.Len(),
 		Corr:      corr,
-		LongCap:   o.longCap,
+		LongCap:   longCap,
 		MaxWindow: tr.MaxFactorLen,
 	})
-	return ix, nil
+	return ix
 }
 
 // Transform is factor.Transform plus the one adjustment correlations need,
@@ -103,13 +125,17 @@ func Transform(s *ustring.String, tauMin float64) (*factor.Transformed, error) {
 	return tr, nil
 }
 
-// corrAdjust returns the log-domain correction factor turning the base
-// probability of the window starting at text position xStart into the
-// correlation-corrected probability (Section 3.3 semantics; the Section 4.1
-// divide-by-pr⁺-multiply-by-correct trick in log domain, generalised to base
-// probabilities).
-func (ix *Index) corrAdjust(xStart, length int) float64 {
-	return corrAdjust(ix.src, ix.tr.T, ix.tr.LogP, int(ix.tr.Pos[xStart]), xStart, length)
+// corrHook returns the engine's correlation hook over text t and position
+// map pos — the engine's own arrays, which it is handed before it exists:
+// the log-domain correction factor turning the base probability of the
+// window starting at text position xStart into the correlation-corrected
+// probability (Section 3.3 semantics; the Section 4.1
+// divide-by-pr⁺-multiply-by-correct trick in log domain, generalised to
+// base probabilities). It reads ix.src and ix.logp when called.
+func (ix *Index) corrHook(t []byte, pos []int32) func(xStart, length int) float64 {
+	return func(xStart, length int) float64 {
+		return corrAdjust(ix.src, t, ix.logp, int(pos[xStart]), xStart, length)
+	}
 }
 
 // CorrAdjust is corrAdjust for indexes built outside this package over a
@@ -226,23 +252,52 @@ func (ix *Index) SearchIter(p []byte, tau float64, visit func(Hit) bool) error {
 // TauMin returns the construction threshold.
 func (ix *Index) TauMin() float64 { return ix.tauMin }
 
-// Source returns the indexed uncertain string.
-func (ix *Index) Source() *ustring.String { return ix.src }
+// Source returns the indexed uncertain string. For an envelope-opened
+// index the string is materialised from the stored per-position tables on
+// first call (and retained); queries over a source without correlations
+// never trigger this.
+func (ix *Index) Source() *ustring.String {
+	if ix.srcFn != nil {
+		ix.srcOnce.Do(func() { ix.src = ix.srcFn() })
+	}
+	return ix.src
+}
 
-// Transformed exposes the Lemma 2 transformation (used by tooling and
-// examples to report expansion statistics).
-func (ix *Index) Transformed() *factor.Transformed { return ix.tr }
+// SourceLen returns the source string's position count without forcing a
+// lazily-loaded source to materialise.
+func (ix *Index) SourceLen() int { return ix.srcLen }
+
+// MappedBytes reports the bytes of mmap'd storage backing this index
+// (0 for heap-resident indexes).
+func (ix *Index) MappedBytes() int64 {
+	if ix.env != nil && ix.env.Mapped() {
+		return ix.env.Size()
+	}
+	return 0
+}
+
+// Close releases the index's mapping, if any. The caller must guarantee
+// no query is running or will run afterwards.
+func (ix *Index) Close() error { return ix.env.Close() }
+
+// Transformed recomputes the Lemma 2 transformation of the source (used by
+// tooling and examples to report expansion statistics); the index itself
+// does not keep it. It is nil only for a source that no longer transforms,
+// which a built or checksum-verified index rules out.
+func (ix *Index) Transformed() *factor.Transformed {
+	tr, _ := Transform(ix.Source(), ix.tauMin)
+	return tr
+}
 
 // Engine exposes the underlying engine (used by the benchmarks' space
 // accounting).
 func (ix *Index) Engine() *Engine { return ix.engine }
 
-// Space itemises index memory including the transformation arrays.
+// Space itemises the index memory: the engine's arrays plus the
+// per-position log probabilities, when correlations keep them.
 func (ix *Index) Space() SpaceBreakdown {
 	s := ix.engine.Space()
-	// Pos/SpanOf/LogP live in the transformation; the engine already counts
-	// Pos (as its Key too) and C, so add only the factor bookkeeping.
-	s.PosAndKeys += len(ix.tr.SpanOf)*4 + len(ix.tr.Spans)*16
+	s.ProbArray += len(ix.logp) * 8
 	return s
 }
 

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -16,21 +16,23 @@ import (
 //	1 — plain backend only; no Backend tag (decoded as BackendPlain).
 //	2 — adds the Backend tag and the compressed backend's SampleRate.
 //	3 — adds the approx backend and its Epsilon parameter.
-//	4 — flat region envelope for the compressed backend (persist4.go):
-//	    query structures stored as mmap-able aligned regions, no rebuild
-//	    on load. Not gob; dispatched on the envelope magic.
+//	4 — flat region envelope (internal/mapped), dispatched on its magic, not
+//	    gob: query structures stored as mmap-able aligned regions, no rebuild
+//	    on load. The compressed backend writes it (persist4.go), and so does
+//	    the plain backend, whose envelope holds exactly what a plain query
+//	    reads (plain4.go).
 //
-// The exact backends persist the same payload — the source string plus the
-// Lemma 2 transformation (the dominant construction cost at low τmin) — and
-// rebuild their query structures on load: the plain backend its suffix
-// array and RMQ levels, the compressed backend its BWT/wavelet machinery.
-// The approx backend persists only the source and its (τmin, ε) parameters;
-// its transformation and link structure are deterministic and rebuilt on
-// load (retaining the transformation would cost more than the whole index).
-// ReadBackend accepts every format up to persistFormat.
+// Gob formats 1–3 stay readable. Their exact-backend payload is the source
+// string plus the Lemma 2 transformation, and loading one rebuilds the
+// query structures from it: the plain backend's suffix array and RMQ
+// levels, the compressed backend's BWT/wavelet machinery. The approx
+// backend still writes format 3: the source and its (τmin, ε) parameters
+// only, its transformation and link structure rebuilt on load (retaining
+// the transformation would cost more than the whole index). ReadBackend
+// accepts every format.
 const persistFormat = 3
 
-// persisted is the gob payload shared by every backend.
+// persisted is the gob payload of formats 1–3.
 type persisted struct {
 	Format  int
 	Backend string // "" (format 1) means BackendPlain
@@ -47,61 +49,48 @@ type persisted struct {
 	Tr *factor.Transformed
 }
 
-// WriteTo serialises the index. The transformation is stored verbatim;
-// loading rebuilds the suffix array and RMQ levels from it.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	return writePersisted(w, persisted{
-		Format:  persistFormat,
-		Backend: BackendPlain,
-		TauMin:  ix.tauMin,
-		LongCap: ix.engine.longCap,
-		Source:  ix.src,
-		Tr:      ix.tr,
-	})
-}
-
 // WriteTo serialises the approximate backend: source string and the
 // (τmin, ε) construction parameters. The transformation and ε-link
 // structure are deterministic, so loading rebuilds them from the source.
 func (ab *ApproxBackend) WriteTo(w io.Writer) (int64, error) {
-	return writePersisted(w, persisted{
+	cw := &countingWriter{w: w}
+	err := gob.NewEncoder(cw).Encode(persisted{
 		Format:  persistFormat,
 		Backend: BackendApprox,
 		TauMin:  ab.TauMin(),
 		Epsilon: ab.Epsilon(),
 		Source:  ab.Source(),
 	})
-}
-
-func writePersisted(w io.Writer, p persisted) (int64, error) {
-	cw := &countingWriter{w: w}
-	err := gob.NewEncoder(cw).Encode(p)
 	return cw.n, err
 }
 
 // ReadBackend deserialises an index written by any backend's WriteTo. A
-// format-4 envelope (compressed backend) is validated — structure, region
-// checksums, source invariants — and its structures are assembled as
-// views over the read buffer, no rebuild; gob formats 1–3 rebuild their
-// query structures as before. A corrupted or truncated payload — bit
-// flips, a short file, internally inconsistent arrays, hostile region
-// tables — is reported as an error wrapping ErrCorruptIndex (or
-// ErrUnsupportedFormat), never a panic and never an oversized allocation:
-// every array length is cross-checked before use, and the gob rebuild
-// runs under a recover so callers (the daemon's index cache) can fall
-// back to rebuilding from source data.
-func ReadBackend(r io.Reader) (b Backend, err error) {
+// format-4 envelope is validated — structure, region checksums, source
+// invariants — and its structures are assembled as views over the read
+// buffer, no rebuild; gob formats 1–3 rebuild their query structures. A
+// corrupted or truncated payload — bit flips, a short file, internally
+// inconsistent arrays, hostile region tables — is reported as an error
+// wrapping ErrCorruptIndex (or ErrUnsupportedFormat), never a panic and
+// never an oversized allocation: every array length is cross-checked
+// before use, and the gob rebuild runs under a recover so callers (the
+// daemon's index cache) can fall back to rebuilding from source data.
+func ReadBackend(r io.Reader) (Backend, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading index: %w", err)
+	}
+	return decodeBackend(data)
+}
+
+// decodeBackend is ReadBackend over a whole index file held in data, which
+// an envelope-format index keeps as its backing store.
+func decodeBackend(data []byte) (b Backend, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			b, err = nil, fmt.Errorf("%w: %v", ErrCorruptIndex, p)
 		}
 	}()
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(len(mapped.Magic)); err == nil && mapped.IsEnvelope(magic) {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading index: %w", err)
-		}
+	if mapped.IsEnvelope(data) {
 		env, err := mapped.Open(data)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCorruptIndex, err)
@@ -112,15 +101,10 @@ func ReadBackend(r io.Reader) (b Backend, err error) {
 		if err := env.VerifyChecksums(); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCorruptIndex, err)
 		}
-		bk, err := backendFromEnvelope(env, true)
-		if err != nil {
-			return nil, err
-		}
-		return bk, nil
+		return backendFromEnvelope(env, true)
 	}
-	dec := gob.NewDecoder(br)
 	var p persisted
-	if err := dec.Decode(&p); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
 		return nil, fmt.Errorf("%w: reading index: %v", ErrCorruptIndex, err)
 	}
 	if p.Format < 1 || p.Format > persistFormat {
@@ -154,22 +138,7 @@ func ReadBackend(r io.Reader) (b Backend, err error) {
 	if backend == BackendCompressed {
 		return newCompressed(p.Source, p.TauMin, p.LongCap, p.SampleRate, p.Tr)
 	}
-	ix := &Index{tr: p.Tr, src: p.Source, tauMin: p.TauMin}
-	var corr func(xStart, length int) float64
-	if len(p.Source.Corr) > 0 {
-		corr = ix.corrAdjust
-	}
-	ix.engine = NewEngine(EngineConfig{
-		T:         p.Tr.T,
-		LogP:      p.Tr.LogP,
-		Pos:       p.Tr.Pos,
-		Key:       p.Tr.Pos,
-		KeySpace:  p.Source.Len(),
-		Corr:      corr,
-		LongCap:   p.LongCap,
-		MaxWindow: p.Tr.MaxFactorLen,
-	})
-	return ix, nil
+	return newIndex(p.Source, p.TauMin, p.LongCap, p.Tr), nil
 }
 
 // ReadIndex deserialises a plain index written by Index.WriteTo. Files

@@ -27,17 +27,19 @@ import (
 // in. The source string is stored as flattened per-position tables and
 // only materialised if someone asks for it (Source()).
 //
-// Formats 1–3 (gob) remain fully readable; WriteTo of the plain and
-// approx backends still emits format 3 — their query structures are
-// rebuilt from the transformation on load by design (see persist.go), so
-// a flat envelope would buy them nothing until they too persist
-// structures. ReadBackend dispatches on the envelope magic.
+// The plain backend writes the same envelope under its own meta kind
+// (plain4.go), holding its suffix array, directory, prefix sums, Pos and
+// RMQ levels; its open makes O(text) passes that prove every stored index
+// in range. Gob formats 1–3 remain readable (see persist.go); only the
+// approx backend still writes format 3. ReadBackend dispatches on the
+// envelope magic, backendFromEnvelope on the meta kind.
 
-// Region tags of the compressed backend's format-4 envelope. Level tags
-// are per wavelet level: tagLevelWords|d and tagLevelBlocks|d for level d.
-// tagProbZeros and tagPos are read-only: envelopes written before the
+// Region tags of the format-4 envelope. Level tags are per wavelet level:
+// tagLevelWords|d and tagLevelBlocks|d for level d. The compressed backend
+// only reads tagProbZeros and tagPos: its envelopes written before the
 // position map (PR 15) carry them in place of the three tagMap regions, and
-// legacyMap derives the map from them at open.
+// legacyMap derives the map from them at open. The plain backend writes
+// both.
 const (
 	tagMeta         = 0x4154454D // "META"
 	tagCounts       = 0x53544E43 // cumulative symbol counts, []int32[258]
@@ -46,8 +48,8 @@ const (
 	tagSampledBlks  = 0x42504D53 // sampled-rows block counts, []int32
 	tagSamples      = 0x4C504D53 // sampled SA' values, []int32
 	tagProbSums     = 0x4D555350 // prefix log-prob sums, []float64
-	tagProbZeros    = 0x4F525A50 // legacy: prefix zero counts, []int32
-	tagPos          = 0x2E534F50 // legacy: text position → source position, []int32
+	tagProbZeros    = 0x4F525A50 // prefix zero counts, []int32 (plain; legacy compressed)
+	tagPos          = 0x2E534F50 // text position → source position, []int32 (plain; legacy compressed)
 	tagMapWords     = 0x5750414D // position-map bit words, []uint64
 	tagMapBlocks    = 0x4250414D // position-map block counts, []int32
 	tagMapDeltas    = 0x4450414D // position-map per-run offsets, []int32
@@ -55,17 +57,27 @@ const (
 	tagSrcChars     = 0x52484353 // source choice characters, raw bytes
 	tagSrcProbs     = 0x52505353 // source choice probabilities, []float64
 	tagCorr         = 0x52524F43 // gob []ustring.Correlation (only if any)
-	tagT            = 0x2E545854 // transformed text (only with correlations)
+	tagT            = 0x2E545854 // transformed text (plain; compressed only with correlations)
 	tagLogP         = 0x50474F4C // per-position log probs (only with correlations)
 	tagLevelWords   = 0x4C570000 // | level
 	tagLevelBlocks  = 0x4C420000 // | level
+
+	// The plain backend's own regions (plain4.go).
+	tagSA          = 0x41584653 // "SFXA" suffix array, []int32
+	tagDir         = 0x52494442 // "BDIR" bucket directory, []int32
+	tagDupWords    = 0x57505544 // "DUPW" duplicate bitmaps, []uint64
+	tagShortArgmax = 0x47524153 // "SARG" short-level block argmaxes, []int32
+	tagLongMax     = 0x58414D4C // "LMAX" long-level block maxima, []float32
 )
 
 // metaSize is the fixed size of the tagMeta region.
 const metaSize = 64
 
 // envelope meta kinds.
-const metaKindCompressed = 1
+const (
+	metaKindCompressed = 1
+	metaKindPlain      = 2
+)
 
 const metaFlagCorr = 1 // source declares correlations
 
@@ -86,7 +98,9 @@ type envelopeMeta struct {
 	rate    int
 	n       int // transformed text length
 	srcLen  int // source position count
-	depth   int // wavelet levels
+	depth   int // wavelet levels (compressed)
+	levels  int // short RMQ levels (plain)
+	longHi  int // last long RMQ length (plain)
 }
 
 func (m envelopeMeta) encode() []byte {
@@ -100,6 +114,8 @@ func (m envelopeMeta) encode() []byte {
 	binary.LittleEndian.PutUint64(b[40:], uint64(int64(m.srcLen)))
 	binary.LittleEndian.PutUint32(b[48:], uint32(m.depth))
 	binary.LittleEndian.PutUint32(b[52:], m.flags)
+	binary.LittleEndian.PutUint32(b[56:], uint32(m.levels))
+	binary.LittleEndian.PutUint32(b[60:], uint32(m.longHi))
 	return b
 }
 
@@ -119,6 +135,8 @@ func decodeMeta(b []byte) (envelopeMeta, error) {
 	m.srcLen = int(int64(binary.LittleEndian.Uint64(b[40:])))
 	m.depth = int(binary.LittleEndian.Uint32(b[48:]))
 	m.flags = binary.LittleEndian.Uint32(b[52:])
+	m.levels = int(binary.LittleEndian.Uint32(b[56:]))
+	m.longHi = int(binary.LittleEndian.Uint32(b[60:]))
 	if m.n < 0 || m.srcLen < 0 || m.depth < 0 || m.depth > 8 || m.rate < 1 || m.longCap < 0 {
 		return m, fmt.Errorf("%w: envelope meta out of range (n=%d srcLen=%d depth=%d rate=%d longCap=%d)",
 			ErrCorruptIndex, m.n, m.srcLen, m.depth, m.rate, m.longCap)
@@ -168,7 +186,20 @@ func (cx *CompressedIndex) WriteTo(w io.Writer) (int64, error) {
 	b.AddI32s(tagMapBlocks, cx.fmap.Bits().BlockCounts())
 	b.AddI32s(tagMapDeltas, cx.fmap.Deltas())
 
-	// Source string as CSR: one offset per position, flattened choices.
+	if err := addSource(&b, src); err != nil {
+		return 0, err
+	}
+	if len(src.Corr) > 0 {
+		b.Add(tagT, cx.t)
+		b.AddF64s(tagLogP, cx.logp)
+	}
+	return b.WriteTo(w)
+}
+
+// addSource adds the source string's regions: the choices as CSR — one
+// offset per position, flattened characters and probabilities — and the
+// correlations, when there are any, gob-encoded.
+func addSource(b *mapped.Builder, src *ustring.String) error {
 	offsets := make([]int32, src.Len()+1)
 	total := 0
 	for i, pos := range src.Pos {
@@ -188,17 +219,14 @@ func (cx *CompressedIndex) WriteTo(w io.Writer) (int64, error) {
 	b.AddI32s(tagSrcOffsets, offsets)
 	b.Add(tagSrcChars, chars)
 	b.AddF64s(tagSrcProbs, probs)
-
 	if len(src.Corr) > 0 {
 		var cb bytes.Buffer
 		if err := gob.NewEncoder(&cb).Encode(src.Corr); err != nil {
-			return 0, fmt.Errorf("core: persisting correlations: %w", err)
+			return fmt.Errorf("core: persisting correlations: %w", err)
 		}
 		b.Add(tagCorr, cb.Bytes())
-		b.Add(tagT, cx.t)
-		b.AddF64s(tagLogP, cx.logp)
 	}
-	return b.WriteTo(w)
+	return nil
 }
 
 // requireRegion fetches a mandatory region.
@@ -254,7 +282,7 @@ func regionF64s(env *mapped.Envelope, tag uint32, name string) ([]float64, error
 // eager controls source handling: the stream path (ReadBackend) has the
 // whole payload on heap anyway and preserves the historical contract of
 // validating the source before returning; the mmap fast path defers
-// materialisation so no payload page is faulted.
+// materialisation so no source page is faulted.
 func backendFromEnvelope(env *mapped.Envelope, eager bool) (Backend, error) {
 	metaRegion, err := requireRegion(env, tagMeta, "meta")
 	if err != nil {
@@ -264,10 +292,17 @@ func backendFromEnvelope(env *mapped.Envelope, eager bool) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	if meta.kind != metaKindCompressed {
-		return nil, fmt.Errorf("%w: envelope backend kind %d", ErrUnsupportedFormat, meta.kind)
+	switch meta.kind {
+	case metaKindCompressed:
+		return compressedFromEnvelope(env, meta, eager)
+	case metaKindPlain:
+		return plainFromEnvelope(env, meta, eager)
 	}
+	return nil, fmt.Errorf("%w: envelope backend kind %d", ErrUnsupportedFormat, meta.kind)
+}
 
+// compressedFromEnvelope is backendFromEnvelope for the compressed kind.
+func compressedFromEnvelope(env *mapped.Envelope, meta envelopeMeta, eager bool) (*CompressedIndex, error) {
 	counts, err := regionI32s(env, tagCounts, "counts")
 	if err != nil {
 		return nil, err
@@ -323,36 +358,9 @@ func backendFromEnvelope(env *mapped.Envelope, eager bool) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	offsets, err := regionI32s(env, tagSrcOffsets, "source offsets")
+	srcFn, err := sourceFromEnvelope(env, meta)
 	if err != nil {
 		return nil, err
-	}
-	chars, err := requireRegion(env, tagSrcChars, "source chars")
-	if err != nil {
-		return nil, err
-	}
-	probs, err := regionF64s(env, tagSrcProbs, "source probs")
-	if err != nil {
-		return nil, err
-	}
-	if len(offsets) != meta.srcLen+1 {
-		return nil, fmt.Errorf("%w: source offsets has %d entries, want %d", ErrCorruptIndex, len(offsets), meta.srcLen+1)
-	}
-	if len(probs) != len(chars) {
-		return nil, fmt.Errorf("%w: %d source chars but %d probabilities", ErrCorruptIndex, len(chars), len(probs))
-	}
-
-	var corr []ustring.Correlation
-	hasCorr := meta.flags&metaFlagCorr != 0
-	if hasCorr {
-		cr, err := requireRegion(env, tagCorr, "correlations")
-		if err != nil {
-			return nil, err
-		}
-		if err := gob.NewDecoder(bytes.NewReader(cr)).Decode(&corr); err != nil {
-			return nil, fmt.Errorf("%w: correlations: %v", ErrCorruptIndex, err)
-		}
 	}
 
 	cx := &CompressedIndex{
@@ -364,11 +372,9 @@ func backendFromEnvelope(env *mapped.Envelope, eager bool) (Backend, error) {
 		fmap:    fmap,
 		env:     env,
 		srcLen:  meta.srcLen,
+		srcFn:   srcFn,
 	}
-	cx.srcFn = func() *ustring.String {
-		return materializeSource(offsets, chars, probs, corr)
-	}
-	if hasCorr {
+	if meta.flags&metaFlagCorr != 0 {
 		// Correlation correction reads the source and the raw transformed
 		// arrays on the query path, so they are resident, not lazy.
 		t, err := requireRegion(env, tagT, "transformed text")
@@ -387,15 +393,60 @@ func backendFromEnvelope(env *mapped.Envelope, eager bool) (Backend, error) {
 		cx.Source() // force materialisation; corrAdjust needs cx.src
 	}
 	if eager {
-		src := cx.Source()
-		if err := src.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: persisted source invalid: %v", ErrCorruptIndex, err)
-		}
-		if src.Len() != meta.srcLen {
-			return nil, fmt.Errorf("%w: source has %d positions, meta says %d", ErrCorruptIndex, src.Len(), meta.srcLen)
+		if err := checkSource(cx.Source(), meta.srcLen); err != nil {
+			return nil, err
 		}
 	}
 	return cx, nil
+}
+
+// sourceFromEnvelope checks the source regions' shapes against meta and
+// returns the function that materialises the string from them, the
+// correlations decoded up front (a flagged envelope must carry them).
+func sourceFromEnvelope(env *mapped.Envelope, meta envelopeMeta) (func() *ustring.String, error) {
+	offsets, err := regionI32s(env, tagSrcOffsets, "source offsets")
+	if err != nil {
+		return nil, err
+	}
+	chars, err := requireRegion(env, tagSrcChars, "source chars")
+	if err != nil {
+		return nil, err
+	}
+	probs, err := regionF64s(env, tagSrcProbs, "source probs")
+	if err != nil {
+		return nil, err
+	}
+	if len(offsets) != meta.srcLen+1 {
+		return nil, fmt.Errorf("%w: source offsets has %d entries, want %d", ErrCorruptIndex, len(offsets), meta.srcLen+1)
+	}
+	if len(probs) != len(chars) {
+		return nil, fmt.Errorf("%w: %d source chars but %d probabilities", ErrCorruptIndex, len(chars), len(probs))
+	}
+	var corr []ustring.Correlation
+	if meta.flags&metaFlagCorr != 0 {
+		cr, err := requireRegion(env, tagCorr, "correlations")
+		if err != nil {
+			return nil, err
+		}
+		if err := gob.NewDecoder(bytes.NewReader(cr)).Decode(&corr); err != nil {
+			return nil, fmt.Errorf("%w: correlations: %v", ErrCorruptIndex, err)
+		}
+	}
+	return func() *ustring.String {
+		return materializeSource(offsets, chars, probs, corr)
+	}, nil
+}
+
+// checkSource validates a materialised source and its length against the
+// envelope's meta.
+func checkSource(src *ustring.String, srcLen int) error {
+	if err := src.Validate(); err != nil {
+		return fmt.Errorf("%w: persisted source invalid: %v", ErrCorruptIndex, err)
+	}
+	if src.Len() != srcLen {
+		return fmt.Errorf("%w: source has %d positions, meta says %d", ErrCorruptIndex, src.Len(), srcLen)
+	}
+	return nil
 }
 
 // mapFromEnvelope assembles the position map over its three regions, or —
@@ -471,12 +522,12 @@ func materializeSource(offsets []int32, chars []byte, probs []float64, corr []us
 }
 
 // OpenBackendFile opens an index file with the zero-copy fast path: a
-// format-4 envelope is validated structurally (O(regions)) and its query
-// structures are addressed in place — mmap'd when useMmap is set and the
-// platform supports it, a heap buffer otherwise. Older gob files fall
-// back to the streaming ReadBackend path. skippedDecode reports whether
-// the envelope fast path was taken (no gob decode, no structure rebuild);
-// the catalog counts these for /v1/stats.
+// format-4 envelope is validated structurally and its query structures are
+// addressed in place — mmap'd when useMmap is set and the platform
+// supports it; otherwise the file is read onto the heap and opened as
+// ReadBackend opens it. Older gob files are decoded and rebuilt.
+// skippedDecode reports whether the envelope path was taken (no gob
+// decode, no structure rebuild); the catalog counts these for /v1/stats.
 func OpenBackendFile(path string, useMmap bool) (b Backend, skippedDecode bool, err error) {
 	if useMmap {
 		env, err := mapped.OpenFile(path)
@@ -494,23 +545,20 @@ func OpenBackendFile(path string, useMmap bool) (b Backend, skippedDecode bool, 
 			}
 			return nil, false, fmt.Errorf("%w: %w", ErrCorruptIndex, err)
 		}
-		// Not an envelope: an older gob cache file; stream-decode it.
+		// Not an envelope: an older gob cache file; decode it.
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, false, err
 	}
 	defer f.Close()
-	prefix := make([]byte, len(mapped.Magic))
-	if n, _ := io.ReadFull(f, prefix); n == len(prefix) && mapped.IsEnvelope(prefix) {
-		skippedDecode = true
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, false, fmt.Errorf("core: reading index: %w", err)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, false, err
-	}
-	bk, err := ReadBackend(f)
+	bk, err := decodeBackend(data)
 	if err != nil {
 		return nil, false, err
 	}
-	return bk, skippedDecode, nil
+	return bk, mapped.IsEnvelope(data), nil
 }

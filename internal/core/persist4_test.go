@@ -383,15 +383,27 @@ func FuzzReadBackend(f *testing.F) {
 	for _, data := range hostileMaps(f, env.Bytes()) {
 		f.Add(data)
 	}
-	px, err := Build(s, 0.1)
+	// Plain envelopes: pristine, truncated, with a bit flipped in each
+	// region a query dereferences (re-checksummed, so the flip reaches the
+	// range proofs) and with those regions out of range; and the legacy gob
+	// plain file.
+	plain := plainFuzzEnvelope(f)
+	f.Add(plain)
+	f.Add(plain[:len(plain)/2])
+	for _, tag := range plainQueryRegions {
+		f.Add(withRegion(f, plain, tag, func(r []byte) []byte {
+			r[len(r)/2] ^= 0x40
+			return r
+		}))
+	}
+	for _, data := range hostilePlain(f, plain) {
+		f.Add(data)
+	}
+	legacyPlain, err := os.ReadFile(filepath.Join("testdata", "format3_plain.idx"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	var gobBuf bytes.Buffer
-	if _, err := px.WriteTo(&gobBuf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(gobBuf.Bytes())
+	f.Add(legacyPlain)
 	f.Add([]byte(mapped.Magic))
 	f.Add([]byte{})
 
@@ -409,14 +421,16 @@ func FuzzReadBackend(f *testing.F) {
 	})
 }
 
-// FuzzQuery drives the compressed query path over envelopes — in the current
-// layout and in the one before the position map — whose payload bits were
-// flipped after writing. The envelope is opened the way the mmap
-// fast path opens it — structure validated, checksums not — so corrupt rank
-// words, samples and prefix sums reach backward search, the LF walks and the
-// window arithmetic. Such an index may mis-answer; it must never panic, and
-// every walk must terminate, and the keep-max table the scan fills is
-// sized by a source length the envelope's own bytes back.
+// FuzzQuery drives the query paths over envelopes whose payload bits were
+// flipped after writing: the compressed layout, the compressed layout
+// before the position map, and the plain layout (layout 0, 1 and 2, modulo
+// 3). The envelope is opened the way the mmap fast path opens it —
+// structure validated, checksums not — so corrupt rank words, samples,
+// suffix-array entries, directories, argmaxes and prefix sums reach backward
+// search, the LF walks, the range-maximum extraction and the window
+// arithmetic. Such an index may mis-answer; it must never panic, and every
+// walk must terminate, and the keep-max table a query fills is sized by a
+// source length the envelope's own bytes back.
 func FuzzQuery(f *testing.F) {
 	s := gen.Single(gen.Config{N: 150, Theta: 0.3, Seed: 443})
 	cx, err := BuildCompressed(s, 0.1)
@@ -427,20 +441,24 @@ func FuzzQuery(f *testing.F) {
 	if _, err := cx.WriteTo(&env); err != nil {
 		f.Fatal(err)
 	}
-	layouts := [2][]byte{env.Bytes(), legacyFixture(f)}
+	layouts := [3][]byte{env.Bytes(), legacyFixture(f), plainFuzzEnvelope(f)}
 	for _, p := range gen.Patterns(s, 4, 2, 449) {
-		f.Add(p, 0.12, 3, uint32(len(layouts[0])/2), byte(0x10), false)
-		f.Add(p, 0.12, 3, uint32(len(layouts[1])/2), byte(0x10), true)
+		f.Add(p, 0.12, 3, uint32(len(layouts[0])/2), byte(0x10), uint8(0))
+		f.Add(p, 0.12, 3, uint32(len(layouts[1])/2), byte(0x10), uint8(1))
 	}
-	f.Add([]byte("ab"), 0.5, 1, uint32(0), byte(0), false) // pristine envelopes
-	f.Add([]byte("ab"), 0.5, 1, uint32(0), byte(0), true)
-	f.Add([]byte{0xFF, 0}, 0.9, 0, uint32(len(layouts[0])-9), byte(0xFF), false)
-
-	f.Fuzz(func(t *testing.T, p []byte, tau float64, k int, at uint32, flip byte, legacy bool) {
-		raw := layouts[0]
-		if legacy {
-			raw = layouts[1]
+	f.Add([]byte("ab"), 0.5, 1, uint32(0), byte(0), uint8(0)) // pristine envelopes
+	f.Add([]byte("ab"), 0.5, 1, uint32(0), byte(0), uint8(1))
+	f.Add([]byte{0xFF, 0}, 0.9, 0, uint32(len(layouts[0])-9), byte(0xFF), uint8(0))
+	f.Add([]byte("ab"), 0.5, 1, uint32(0), byte(0), uint8(2))
+	for i, tag := range plainQueryRegions {
+		at := uint32(regionOffset(f, layouts[2], tag))
+		for j, p := range gen.Patterns(s, 2, 1+i+3*(i%2), 451) {
+			f.Add(p, 0.12, 3, at, byte(0x10<<j), uint8(2))
 		}
+	}
+
+	f.Fuzz(func(t *testing.T, p []byte, tau float64, k int, at uint32, flip byte, layout uint8) {
+		raw := layouts[layout%3]
 		data := append([]byte(nil), raw...)
 		// Flip a run of bytes, not one: a lone flip rarely lands where a
 		// short query reads.

@@ -121,13 +121,16 @@ func (b *Builder) Add(tag uint32, payload []byte) {
 	b.payloads = append(b.payloads, payload)
 }
 
-// AddU64s, AddI32s and AddF64s add a region whose payload is the raw
-// native-endian memory of the slice — the exact bytes a reader's typed
+// AddU64s, AddI32s, AddF64s and AddF32s add a region whose payload is the
+// raw native-endian memory of the slice — the exact bytes a reader's typed
 // view will reinterpret, so write+open is bit-identical round trip.
 func (b *Builder) AddU64s(tag uint32, v []uint64) { b.Add(tag, u64Bytes(v)) }
 func (b *Builder) AddI32s(tag uint32, v []int32)  { b.Add(tag, i32Bytes(v)) }
 func (b *Builder) AddF64s(tag uint32, v []float64) {
 	b.Add(tag, f64Bytes(v))
+}
+func (b *Builder) AddF32s(tag uint32, v []float32) {
+	b.Add(tag, f32Bytes(v))
 }
 
 // Size returns the total envelope size WriteTo will produce.
@@ -382,6 +385,20 @@ func F64s(b []byte) ([]float64, error) {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), len(b)/8), nil
 }
 
+// F32s reinterprets region bytes as []float32 without copying.
+func F32s(b []byte) ([]float32, error) {
+	if len(b)%4 != 0 {
+		return nil, fmt.Errorf("%w: float32 region length %d not a multiple of 4", ErrBadTable, len(b))
+	}
+	if len(b) == 0 {
+		return nil, nil
+	}
+	if uintptr(unsafe.Pointer(&b[0]))%4 != 0 {
+		return nil, fmt.Errorf("%w: float32 region base not 4-byte aligned", ErrBadTable)
+	}
+	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4), nil
+}
+
 func u64Bytes(v []uint64) []byte {
 	if len(v) == 0 {
 		return nil
@@ -401,6 +418,13 @@ func f64Bytes(v []float64) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
+}
+
+func f32Bytes(v []float32) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4)
 }
 
 // align8 rounds n up to the next multiple of 8.

@@ -192,6 +192,27 @@ func TestViewAlignmentChecks(t *testing.T) {
 	}
 }
 
+func TestF32sRoundTrip(t *testing.T) {
+	var b Builder
+	b.AddF32s(0x60, []float32{1.5, -0.25, 3}) // odd byte count → padding
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	env, err := Open(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := env.Region(0x60)
+	f32, err := F32s(r)
+	if err != nil || len(f32) != 3 || f32[1] != -0.25 {
+		t.Fatalf("f32 view = %v, %v", f32, err)
+	}
+	if _, err := F32s(r[:6]); err == nil {
+		t.Fatal("ragged length accepted by F32s")
+	}
+}
+
 func TestBuilderRejectsDuplicateTags(t *testing.T) {
 	var b Builder
 	b.Add(1, []byte("a"))

@@ -13,6 +13,7 @@ package prob
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -140,6 +141,24 @@ func NewPrefix(logps []float64) *Prefix {
 	}
 	return p
 }
+
+// PrefixFromParts assembles a Prefix over stored sums and zero counts, as
+// Sums and ZeroCounts return them; both are retained. Their values are not
+// checked: Span indexes only by its arguments, which it bounds by Len.
+func PrefixFromParts(sums []float64, zeroUpTo []int32) (*Prefix, error) {
+	if len(sums) == 0 || len(zeroUpTo) != len(sums) {
+		return nil, fmt.Errorf("prob: %d prefix sums and %d zero counts, want the same positive length",
+			len(sums), len(zeroUpTo))
+	}
+	return &Prefix{sums: sums, zeroUpTo: zeroUpTo}, nil
+}
+
+// Sums returns the prefix log sums, Len()+1 entries (shared, read-only).
+func (p *Prefix) Sums() []float64 { return p.sums }
+
+// ZeroCounts returns the prefix counts of zero-probability positions,
+// Len()+1 entries (shared, read-only).
+func (p *Prefix) ZeroCounts() []int32 { return p.zeroUpTo }
 
 // Len returns the number of positions covered by the prefix array.
 func (p *Prefix) Len() int { return len(p.sums) - 1 }

@@ -1,5 +1,7 @@
 package rmq
 
+import "fmt"
+
 // BlockSize is the decomposition width of the Block structure. Partial-block
 // queries scan at most 2×BlockSize accessor calls, so queries are O(1) for
 // any fixed size; 64 keeps the index below 2 bits per element in practice.
@@ -18,21 +20,21 @@ type Block struct {
 	sparse *Sparse[float64] // over block max values
 }
 
+// Blocks returns the number of blocks a Block over n values has: the
+// length of its argmax array.
+func Blocks(n int) int { return (n + BlockSize - 1) / BlockSize }
+
 // NewBlock builds the structure over n values reachable through vals.
 func NewBlock(n int, vals Values) *Block {
 	b := &Block{vals: vals, n: n}
 	if n == 0 {
 		return b
 	}
-	nb := (n + BlockSize - 1) / BlockSize
-	b.argmax = make([]int32, nb)
-	maxv := make([]float64, nb)
-	for blk := 0; blk < nb; blk++ {
+	b.argmax = make([]int32, Blocks(n))
+	maxv := make([]float64, len(b.argmax))
+	for blk := range b.argmax {
 		lo := blk * BlockSize
-		hi := lo + BlockSize
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+BlockSize, n)
 		best := lo
 		bv := vals(lo)
 		for k := lo + 1; k < hi; k++ {
@@ -46,6 +48,34 @@ func NewBlock(n int, vals Values) *Block {
 	b.sparse = NewSparseMax(maxv)
 	return b
 }
+
+// FromArgmax rebuilds the structure NewBlock(n, vals) built, from its
+// stored Argmax, which it retains: one accessor call per block and the
+// sparse table over the results. Every entry must lie inside its own
+// block — what keeps Max inside the range it was asked about — but is not
+// checked to be the block's maximum.
+func FromArgmax(n int, vals Values, argmax []int32) (*Block, error) {
+	if len(argmax) != Blocks(n) {
+		return nil, fmt.Errorf("rmq: %d block argmaxes for %d values, want %d", len(argmax), n, Blocks(n))
+	}
+	b := &Block{vals: vals, n: n}
+	if n == 0 {
+		return b, nil
+	}
+	maxv := make([]float64, len(argmax))
+	for blk, j := range argmax {
+		if lo := blk * BlockSize; int(j) < lo || int(j) >= min(lo+BlockSize, n) {
+			return nil, fmt.Errorf("rmq: argmax %d of block %d lies outside it", j, blk)
+		}
+		maxv[blk] = vals(int(j))
+	}
+	b.argmax = argmax
+	b.sparse = NewSparseMax(maxv)
+	return b, nil
+}
+
+// Argmax returns the argmax position of every block (shared, read-only).
+func (b *Block) Argmax() []int32 { return b.argmax }
 
 // Len returns the number of positions covered.
 func (b *Block) Len() int { return b.n }

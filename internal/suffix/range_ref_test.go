@@ -3,6 +3,7 @@ package suffix
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -145,4 +146,72 @@ func FuzzRange(f *testing.F) {
 		}
 		checkRange(t, New(text), p)
 	})
+}
+
+// TestFromParts: a Text assembled from NewSearch's stored arrays answers
+// every range like New's, and arrays a range query could index outside —
+// a suffix-array entry past the text, a directory of the wrong shape or
+// out of order, a two-byte bucket row at the last byte — are rejected.
+func TestFromParts(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	text := randomText(rng, 4000, []byte("ACGT"), 4, true)
+	full := New(text)
+	search, lcp := NewSearch(text)
+	if search.Rank() != nil || search.LCP() != nil || len(lcp) != len(text) || search.Dir() == nil {
+		t.Fatal("NewSearch kept its build-only arrays or built no directory")
+	}
+	tx, err := FromParts(text, search.SA(), search.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tx.Bytes() != search.Bytes() {
+		t.Errorf("Bytes %d, NewSearch's %d", tx.Bytes(), search.Bytes())
+	}
+	for m := 1; m <= 6; m++ {
+		for range 20 {
+			i := rng.Intn(len(text) - m)
+			p := text[i : i+m]
+			if bytes.IndexByte(p, 0) >= 0 {
+				continue
+			}
+			lo, hi, ok := tx.Range(p)
+			wlo, whi, wok := full.Range(p)
+			if lo != wlo || hi != whi || ok != wok {
+				t.Fatalf("Range(%q) = %d %d %v, New's %d %d %v", p, lo, hi, ok, wlo, whi, wok)
+			}
+		}
+	}
+
+	clone := func(v []int32) []int32 { return append([]int32(nil), v...) }
+	sa, dir := search.SA(), search.Dir()
+	tail := slices.Index(sa, int32(len(text)-1))
+	twoByte := clone(sa)
+	// Swap the last position into a two-byte bucket's first row.
+	for k := 1; k < len(dir)-1; k++ {
+		if w := search.w; k%w != 0 && dir[k] < dir[k+1] {
+			j := int(dir[k])
+			twoByte[j], twoByte[tail] = twoByte[tail], twoByte[j]
+			break
+		}
+	}
+	outside := clone(sa)
+	outside[7] = int32(len(text))
+	short := clone(dir)[:len(dir)-1]
+	unordered := clone(dir)
+	unordered[len(dir)/2] = int32(len(text))
+	unordered[len(dir)/2+1] = 0
+	for name, parts := range map[string][2][]int32{
+		"suffix array entry past the text": {outside, dir},
+		"suffix array one entry short":     {sa[1:], dir},
+		"directory one entry short":        {sa, short},
+		"directory out of order":           {sa, unordered},
+		"two-byte bucket row at the end":   {twoByte, dir},
+	} {
+		if _, err := FromParts(text, parts[0], parts[1]); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := FromParts(text[:40], sa[:40], nil); err == nil {
+		t.Error("suffix array entries past a shortened text: accepted")
+	}
 }

@@ -1,13 +1,16 @@
 package suffix
 
-// Text bundles a deterministic string with its suffix array, inverse array
-// and LCP array, and answers the suffix-range queries (Section 3.4) every
-// index in this repository is built on.
+import "fmt"
+
+// Text bundles a deterministic string with its suffix array and answers the
+// suffix-range queries (Section 3.4) every index in this repository is
+// built on. A Text from New also keeps the inverse and LCP arrays; one from
+// NewSearch or FromParts holds only what a range query reads.
 type Text struct {
 	data []byte
 	sa   []int32
-	rank []int32 // rank[i] = position of suffix i in sa
-	lcp  []int32 // lcp[i] = lcp(sa[i-1], sa[i]); lcp[0] = 0
+	rank []int32 // rank[i] = position of suffix i in sa; nil unless from New
+	lcp  []int32 // lcp[i] = lcp(sa[i-1], sa[i]); lcp[0] = 0; nil unless from New
 
 	// The two-byte bucket directory of Manber and Myers. code maps a byte
 	// to 1 + its rank among the text's distinct bytes, 0 for a byte the
@@ -21,54 +24,132 @@ type Text struct {
 	dir  []int32
 }
 
-// New builds the full structure for text. The byte slice is retained; the
-// caller must not mutate it afterwards.
+// New builds the full structure for text, inverse and LCP arrays included.
+// The byte slice is retained; the caller must not mutate it afterwards.
 func New(text []byte) *Text {
-	t := &Text{data: text, sa: Array(text)}
-	n := len(text)
-	t.rank = make([]int32, n)
-	for i, p := range t.sa {
-		t.rank[p] = int32(i)
-	}
-	t.lcp = kasai(text, t.sa, t.rank)
-	t.buildDir()
+	t, rank, lcp := build(text)
+	t.rank, t.lcp = rank, lcp
 	return t
 }
 
-// buildDir builds the bucket directory with one counting pass over the
-// text, when its (w²+1) four-byte entries fit in n bytes — w² ≤ n/4 — and
-// the text has fewer than 256 distinct bytes, so every code fits a byte.
-func (t *Text) buildDir() {
+// NewSearch builds the structure a suffix-range query reads — the text,
+// its suffix array and the bucket directory — and returns the LCP array
+// beside it, for a caller that needs it only while building. Neither the
+// LCP nor the inverse array stays in the Text.
+func NewSearch(text []byte) (*Text, []int32) {
+	t, _, lcp := build(text)
+	return t, lcp
+}
+
+// build is New's work, with the inverse and LCP arrays handed back.
+func build(text []byte) (t *Text, rank, lcp []int32) {
+	t = &Text{data: text, sa: Array(text)}
+	rank = make([]int32, len(text))
+	for i, p := range t.sa {
+		rank[p] = int32(i)
+	}
+	lcp = kasai(text, t.sa, rank)
+	if code, w, ok := directoryCodes(text); ok {
+		t.w, t.code, t.dir = w, code, countDir(text, code, w)
+	}
+	return t, rank, lcp
+}
+
+// FromParts assembles a search-only Text over a stored text, suffix array
+// and bucket directory (empty when the text gets none), all retained. Every
+// suffix-array entry must be a text position, the directory must be the
+// shape New would build for this text, non-decreasing from 0 to n, and
+// every row of a two-byte bucket must start at least two bytes before the
+// end, so that no range query over the result can index outside its
+// arrays. Whether sa really sorts the suffixes is not checked: a wrong
+// array answers wrongly, never out of bounds.
+func FromParts(text []byte, sa, dir []int32) (*Text, error) {
+	n := len(text)
+	if len(sa) != n {
+		return nil, fmt.Errorf("suffix: %d suffix-array entries for a %d-byte text", len(sa), n)
+	}
+	for i, p := range sa {
+		if uint32(p) >= uint32(n) {
+			return nil, fmt.Errorf("suffix: suffix-array entry %d is %d, outside the text", i, p)
+		}
+	}
+	t := &Text{data: text, sa: sa}
+	code, w, ok := directoryCodes(text)
+	if !ok {
+		if len(dir) != 0 {
+			return nil, fmt.Errorf("suffix: %d directory entries for a text that gets none", len(dir))
+		}
+		return t, nil
+	}
+	if len(dir) != w*w+1 {
+		return nil, fmt.Errorf("suffix: %d directory entries, want %d", len(dir), w*w+1)
+	}
+	prev := int32(0)
+	for k, v := range dir {
+		if v < prev || int(v) > n {
+			return nil, fmt.Errorf("suffix: directory entry %d is %d, after %d in a %d-byte text", k, v, prev, n)
+		}
+		prev = v
+	}
+	if dir[0] != 0 || int(dir[len(dir)-1]) != n {
+		return nil, fmt.Errorf("suffix: directory spans [%d, %d], want [0, %d]", dir[0], dir[len(dir)-1], n)
+	}
+	// A range search compares a row of a two-byte bucket from its third
+	// byte on, so the row's suffix must have two.
+	for k := 1; k < w*w; k++ {
+		if k%w == 0 {
+			continue // a one-byte suffix's bucket
+		}
+		for _, p := range sa[dir[k]:dir[k+1]] {
+			if int(p)+2 > n {
+				return nil, fmt.Errorf("suffix: suffix-array entry %d is in a two-byte bucket of a %d-byte text", p, n)
+			}
+		}
+	}
+	t.w, t.code, t.dir = w, code, dir
+	return t, nil
+}
+
+// directoryCodes numbers the text's distinct bytes for the bucket
+// directory and reports whether the text gets one: when its (w²+1) four-byte
+// entries fit in n bytes — w² ≤ n/4 — and the text has fewer than 256
+// distinct bytes, so every code fits a byte.
+func directoryCodes(text []byte) (*[256]uint8, int, bool) {
 	var code [256]uint8
-	for _, c := range t.data {
+	for _, c := range text {
 		code[c] = 1
 	}
 	w := 1
 	for c := range code {
 		if code[c] != 0 {
 			if w > 255 {
-				return
+				return nil, 0, false
 			}
 			code[c] = uint8(w)
 			w++
 		}
 	}
-	n := len(t.data)
-	if w*w > n/4 {
-		return
+	if w*w > len(text)/4 {
+		return nil, 0, false
 	}
+	return &code, w, true
+}
+
+// countDir builds the bucket directory with one counting pass over the text.
+func countDir(text []byte, code *[256]uint8, w int) []int32 {
+	n := len(text)
 	dir := make([]int32, w*w+1)
-	for i, c := range t.data {
+	for i, c := range text {
 		k := int(code[c]) * w
 		if i+1 < n {
-			k += int(code[t.data[i+1]])
+			k += int(code[text[i+1]])
 		}
 		dir[k+1]++
 	}
 	for k := 1; k < len(dir); k++ {
 		dir[k] += dir[k-1]
 	}
-	t.w, t.code, t.dir = w, &code, dir
+	return dir
 }
 
 // kasai computes the LCP array in O(n) with Kasai's algorithm.
@@ -103,11 +184,17 @@ func (t *Text) Data() []byte { return t.data }
 // SA returns the suffix array (shared, read-only).
 func (t *Text) SA() []int32 { return t.sa }
 
-// Rank returns the inverse suffix array (shared, read-only).
+// Rank returns the inverse suffix array (shared, read-only); nil unless the
+// Text came from New.
 func (t *Text) Rank() []int32 { return t.rank }
 
-// LCP returns the LCP array (shared, read-only).
+// LCP returns the LCP array (shared, read-only); nil unless the Text came
+// from New.
 func (t *Text) LCP() []int32 { return t.lcp }
+
+// Dir returns the bucket directory (shared, read-only); nil when the text
+// gets none.
+func (t *Text) Dir() []int32 { return t.dir }
 
 // Suffix returns the suffix of the text starting at position i.
 func (t *Text) Suffix(i int32) []byte { return t.data[i:] }
@@ -225,8 +312,9 @@ func (t *Text) Locate(p []byte) []int32 {
 	return out
 }
 
-// Bytes reports the memory footprint of the structure including the text
-// and the bucket directory.
+// Bytes reports the memory footprint of the structure: the text, the
+// suffix array, the bucket directory and, when held, the inverse and LCP
+// arrays.
 func (t *Text) Bytes() int {
 	b := len(t.data) + len(t.sa)*4 + len(t.rank)*4 + len(t.lcp)*4 + len(t.dir)*4
 	if t.code != nil {

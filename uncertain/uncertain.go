@@ -256,10 +256,10 @@ func SearchOnline(s *String, p []byte, tau float64) []int {
 	return baseline.MatchDP(s, p, tau)
 }
 
-// ReadIndex loads an index previously saved with Index.WriteTo. The
-// transformation is restored verbatim; the query structures are rebuilt.
-// Files holding a different backend are rejected; use ReadIndexBackend to
-// load any backend.
+// ReadIndex loads an index previously saved with Index.WriteTo: its query
+// structures are read back as saved, not rebuilt (a file from before plain
+// envelopes is decoded and rebuilt). Files holding a different backend are
+// rejected; use ReadIndexBackend to load any backend.
 func ReadIndex(r io.Reader) (*Index, error) { return core.ReadIndex(r) }
 
 // NewIndexBackend builds the named index backend (BackendPlain,
@@ -278,7 +278,7 @@ func NewApproxBackend(s *String, tauMin, epsilon float64) (*ApproxBackend, error
 }
 
 // ReadIndexBackend loads an index of any backend previously saved with its
-// WriteTo, dispatching on the versioned envelope's backend tag.
+// WriteTo, dispatching on the file's format and backend kind.
 func ReadIndexBackend(r io.Reader) (IndexBackend, error) { return core.ReadBackend(r) }
 
 // GenerateString synthesises one uncertain string with the paper's corpus
@@ -333,7 +333,7 @@ func OpenCatalog(dir string, opts CatalogOptions) (*Catalog, error) {
 }
 
 // LoadCatalog restores a catalog previously written with Catalog.Save,
-// reusing the persisted per-document transformations.
+// reading each document's persisted index instead of rebuilding it.
 func LoadCatalog(dir string, opts CatalogOptions) (*Catalog, error) {
 	return catalog.Load(dir, opts)
 }

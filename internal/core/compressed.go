@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/factor"
 	"repro/internal/fm"
-	"repro/internal/mapped"
 	"repro/internal/prob"
 	"repro/internal/ustring"
 )
@@ -49,10 +47,10 @@ import (
 // limit). Patterns containing 0xFF simply never match, exactly as with the
 // plain backend.
 type CompressedIndex struct {
-	src     *ustring.String
-	tauMin  float64
-	longCap int
-	rate    int
+	envSource // the source, and the envelope when opened from one
+	tauMin    float64
+	longCap   int
+	rate      int
 
 	fm   *fm.Index
 	sums []float64 // sums[i] = Σ_{k<i} log p_k over unmarked positions; len n+1
@@ -63,17 +61,6 @@ type CompressedIndex struct {
 	// the source declares correlations (t is nil otherwise).
 	t    []byte
 	logp []float64
-
-	// Format-4 support. When the index was opened from a flat envelope the
-	// query structures above are views into env's bytes (mmap'd or heap)
-	// and the source string is materialised lazily on first Source() call —
-	// queries never need it, so a mapped corpus stays near-zero resident
-	// until asked for documents. srcLen is always valid without
-	// materialising (see SourceLen).
-	env     *mapped.Envelope
-	srcLen  int
-	srcOnce sync.Once
-	srcFn   func() *ustring.String
 }
 
 // BuildCompressed transforms s with respect to tauMin (Lemma 2) and indexes
@@ -107,14 +94,13 @@ func newCompressed(s *ustring.String, tauMin float64, longCap, rate int, tr *fac
 		return nil, fmt.Errorf("core: compressed backend: %w", err)
 	}
 	cx := &CompressedIndex{
-		src:     s,
-		srcLen:  s.Len(),
-		tauMin:  tauMin,
-		longCap: longCap,
-		rate:    rate,
-		fm:      fmx,
-		sums:    make([]float64, len(tr.LogP)+1),
-		fmap:    tr.Map(),
+		envSource: envSource{src: s, srcLen: s.Len()},
+		tauMin:    tauMin,
+		longCap:   longCap,
+		rate:      rate,
+		fm:        fmx,
+		sums:      make([]float64, len(tr.LogP)+1),
+		fmap:      tr.Map(),
 	}
 	bits := cx.fmap.Bits()
 	var run float64
@@ -263,36 +249,6 @@ func (cx *CompressedIndex) SearchCountCosted(p []byte, tau float64, st *QuerySta
 
 // TauMin returns the construction threshold.
 func (cx *CompressedIndex) TauMin() float64 { return cx.tauMin }
-
-// Source returns the indexed uncertain string. For an envelope-opened
-// index the string is materialised from the stored per-position tables on
-// first call (and retained); queries never trigger this, so serving a
-// mapped corpus keeps the heap free of document data.
-func (cx *CompressedIndex) Source() *ustring.String {
-	if cx.srcFn != nil {
-		cx.srcOnce.Do(func() { cx.src = cx.srcFn() })
-	}
-	return cx.src
-}
-
-// SourceLen returns the source string's position count without forcing a
-// lazily-loaded source to materialise.
-func (cx *CompressedIndex) SourceLen() int { return cx.srcLen }
-
-// MappedBytes reports the bytes of mmap'd storage backing this index
-// (0 for heap-resident indexes).
-func (cx *CompressedIndex) MappedBytes() int64 {
-	if cx.env != nil && cx.env.Mapped() {
-		return cx.env.Size()
-	}
-	return 0
-}
-
-// Close releases the index's mapping, if any. The caller must guarantee
-// no query is running or will run afterwards — the eviction paths that
-// call this do so only after removing the index from serving and waiting
-// out a grace period.
-func (cx *CompressedIndex) Close() error { return cx.env.Close() }
 
 // Kind reports BackendCompressed.
 func (cx *CompressedIndex) Kind() string { return BackendCompressed }

@@ -154,6 +154,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		e.keys = max(e.keys, int(k)+1)
 	}
 	if n == 0 {
+		e.longLo = 1 // levels+1; with longHi 0 there are no long levels
 		return e
 	}
 	e.levels, e.longHi = engineLevels(n, cfg.MaxWindow, e.longCap)

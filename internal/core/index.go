@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/factor"
-	"repro/internal/mapped"
 	"repro/internal/prob"
 	"repro/internal/ustring"
 )
@@ -18,19 +16,10 @@ import (
 // probabilities; the rest of the transformation is not retained
 // (Transformed recomputes it).
 type Index struct {
-	engine *Engine
-	tauMin float64
-	logp   []float64 // nil without correlations
-
-	// The source string. For an index opened from a flat envelope it is
-	// materialised on first Source() call unless correlations need it on the
-	// query path; srcLen is valid either way. env, when set, backs the
-	// engine's arrays (heap or mmap'd) and is released by Close.
-	src     *ustring.String
-	srcLen  int
-	srcOnce sync.Once
-	srcFn   func() *ustring.String
-	env     *mapped.Envelope
+	envSource // the source, and the envelope when opened from one
+	engine    *Engine
+	tauMin    float64
+	logp      []float64 // nil without correlations
 }
 
 // Option configures Build.
@@ -75,7 +64,7 @@ func Build(s *ustring.String, tauMin float64, opts ...Option) (*Index, error) {
 // newIndex indexes the transformation tr of s (fresh, or decoded from a
 // legacy gob file).
 func newIndex(s *ustring.String, tauMin float64, longCap int, tr *factor.Transformed) *Index {
-	ix := &Index{src: s, srcLen: s.Len(), tauMin: tauMin}
+	ix := &Index{envSource: envSource{src: s, srcLen: s.Len()}, tauMin: tauMin}
 	var corr func(xStart, length int) float64
 	if len(s.Corr) > 0 {
 		ix.logp = tr.LogP
@@ -251,34 +240,6 @@ func (ix *Index) SearchIter(p []byte, tau float64, visit func(Hit) bool) error {
 
 // TauMin returns the construction threshold.
 func (ix *Index) TauMin() float64 { return ix.tauMin }
-
-// Source returns the indexed uncertain string. For an envelope-opened
-// index the string is materialised from the stored per-position tables on
-// first call (and retained); queries over a source without correlations
-// never trigger this.
-func (ix *Index) Source() *ustring.String {
-	if ix.srcFn != nil {
-		ix.srcOnce.Do(func() { ix.src = ix.srcFn() })
-	}
-	return ix.src
-}
-
-// SourceLen returns the source string's position count without forcing a
-// lazily-loaded source to materialise.
-func (ix *Index) SourceLen() int { return ix.srcLen }
-
-// MappedBytes reports the bytes of mmap'd storage backing this index
-// (0 for heap-resident indexes).
-func (ix *Index) MappedBytes() int64 {
-	if ix.env != nil && ix.env.Mapped() {
-		return ix.env.Size()
-	}
-	return 0
-}
-
-// Close releases the index's mapping, if any. The caller must guarantee
-// no query is running or will run afterwards.
-func (ix *Index) Close() error { return ix.env.Close() }
 
 // Transformed recomputes the Lemma 2 transformation of the source (used by
 // tooling and examples to report expansion statistics); the index itself

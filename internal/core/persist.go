@@ -82,14 +82,19 @@ func ReadBackend(r io.Reader) (Backend, error) {
 	return decodeBackend(data)
 }
 
+// asCorrupt, deferred by an index open, turns a panic into an error
+// wrapping ErrCorruptIndex: a check the open missed makes a hostile file a
+// failed open, never a crashed process.
+func asCorrupt(b *Backend, err *error) {
+	if p := recover(); p != nil {
+		*b, *err = nil, fmt.Errorf("%w: %v", ErrCorruptIndex, p)
+	}
+}
+
 // decodeBackend is ReadBackend over a whole index file held in data, which
 // an envelope-format index keeps as its backing store.
 func decodeBackend(data []byte) (b Backend, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			b, err = nil, fmt.Errorf("%w: %v", ErrCorruptIndex, p)
-		}
-	}()
+	defer asCorrupt(&b, &err)
 	if mapped.IsEnvelope(data) {
 		env, err := mapped.Open(data)
 		if err != nil {

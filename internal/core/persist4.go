@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 
 	"repro/internal/factor"
 	"repro/internal/fm"
@@ -358,11 +359,6 @@ func compressedFromEnvelope(env *mapped.Envelope, meta envelopeMeta, eager bool)
 	if err != nil {
 		return nil, err
 	}
-	srcFn, err := sourceFromEnvelope(env, meta)
-	if err != nil {
-		return nil, err
-	}
-
 	cx := &CompressedIndex{
 		tauMin:  meta.tauMin,
 		longCap: meta.longCap,
@@ -370,9 +366,9 @@ func compressedFromEnvelope(env *mapped.Envelope, meta envelopeMeta, eager bool)
 		fm:      fmx,
 		sums:    sums,
 		fmap:    fmap,
-		env:     env,
-		srcLen:  meta.srcLen,
-		srcFn:   srcFn,
+	}
+	if err := cx.open(env, meta); err != nil {
+		return nil, err
 	}
 	if meta.flags&metaFlagCorr != 0 {
 		// Correlation correction reads the source and the raw transformed
@@ -400,41 +396,86 @@ func compressedFromEnvelope(env *mapped.Envelope, meta envelopeMeta, eager bool)
 	return cx, nil
 }
 
-// sourceFromEnvelope checks the source regions' shapes against meta and
-// returns the function that materialises the string from them, the
-// correlations decoded up front (a flagged envelope must carry them).
-func sourceFromEnvelope(env *mapped.Envelope, meta envelopeMeta) (func() *ustring.String, error) {
+// envSource is how a backend holds its source string and, when it was
+// opened from a format-4 envelope, that envelope: the backend's query
+// arrays are views into its bytes (heap or mmap'd), and the string is
+// materialised from the stored per-position tables on the first Source()
+// call unless correlations need it on the query path — so serving a mapped
+// corpus keeps the heap free of document data. srcLen is valid either way.
+type envSource struct {
+	src     *ustring.String
+	srcLen  int
+	srcOnce sync.Once
+	srcFn   func() *ustring.String
+	env     *mapped.Envelope
+}
+
+// Source returns the indexed uncertain string, materialising (and
+// retaining) an envelope-opened one on first call.
+func (s *envSource) Source() *ustring.String {
+	if s.srcFn != nil {
+		s.srcOnce.Do(func() { s.src = s.srcFn() })
+	}
+	return s.src
+}
+
+// SourceLen returns the source string's position count without forcing a
+// lazily-loaded source to materialise.
+func (s *envSource) SourceLen() int { return s.srcLen }
+
+// MappedBytes reports the bytes of mmap'd storage backing the index
+// (0 for heap-resident indexes).
+func (s *envSource) MappedBytes() int64 {
+	if s.env != nil && s.env.Mapped() {
+		return s.env.Size()
+	}
+	return 0
+}
+
+// Close releases the index's mapping, if any. The caller must guarantee
+// no query is running or will run afterwards — the eviction paths that
+// call this do so only after removing the index from serving and waiting
+// out a grace period.
+func (s *envSource) Close() error { return s.env.Close() }
+
+// open checks env's source regions' shapes against meta and makes env the
+// backing of s, with the string materialised lazily from those regions;
+// the correlations are decoded up front (a flagged envelope must carry
+// them).
+func (s *envSource) open(env *mapped.Envelope, meta envelopeMeta) error {
 	offsets, err := regionI32s(env, tagSrcOffsets, "source offsets")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	chars, err := requireRegion(env, tagSrcChars, "source chars")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	probs, err := regionF64s(env, tagSrcProbs, "source probs")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(offsets) != meta.srcLen+1 {
-		return nil, fmt.Errorf("%w: source offsets has %d entries, want %d", ErrCorruptIndex, len(offsets), meta.srcLen+1)
+		return fmt.Errorf("%w: source offsets has %d entries, want %d", ErrCorruptIndex, len(offsets), meta.srcLen+1)
 	}
 	if len(probs) != len(chars) {
-		return nil, fmt.Errorf("%w: %d source chars but %d probabilities", ErrCorruptIndex, len(chars), len(probs))
+		return fmt.Errorf("%w: %d source chars but %d probabilities", ErrCorruptIndex, len(chars), len(probs))
 	}
 	var corr []ustring.Correlation
 	if meta.flags&metaFlagCorr != 0 {
 		cr, err := requireRegion(env, tagCorr, "correlations")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := gob.NewDecoder(bytes.NewReader(cr)).Decode(&corr); err != nil {
-			return nil, fmt.Errorf("%w: correlations: %v", ErrCorruptIndex, err)
+			return fmt.Errorf("%w: correlations: %v", ErrCorruptIndex, err)
 		}
 	}
-	return func() *ustring.String {
+	s.env, s.srcLen = env, meta.srcLen
+	s.srcFn = func() *ustring.String {
 		return materializeSource(offsets, chars, probs, corr)
-	}, nil
+	}
+	return nil
 }
 
 // checkSource validates a materialised source and its length against the
@@ -521,6 +562,13 @@ func materializeSource(offsets []int32, chars []byte, probs []float64, corr []us
 	return s
 }
 
+// openMapped is backendFromEnvelope over a mapping, under the recover the
+// heap path's decodeBackend runs under.
+func openMapped(env *mapped.Envelope) (b Backend, err error) {
+	defer asCorrupt(&b, &err)
+	return backendFromEnvelope(env, false)
+}
+
 // OpenBackendFile opens an index file with the zero-copy fast path: a
 // format-4 envelope is validated structurally and its query structures are
 // addressed in place — mmap'd when useMmap is set and the platform
@@ -532,7 +580,7 @@ func OpenBackendFile(path string, useMmap bool) (b Backend, skippedDecode bool, 
 	if useMmap {
 		env, err := mapped.OpenFile(path)
 		if err == nil {
-			bk, berr := backendFromEnvelope(env, false)
+			bk, berr := openMapped(env)
 			if berr != nil {
 				env.Close()
 				return nil, false, fmt.Errorf("%w: %w", ErrCorruptIndex, berr)

@@ -385,10 +385,12 @@ func FuzzReadBackend(f *testing.F) {
 	}
 	// Plain envelopes: pristine, truncated, with a bit flipped in each
 	// region a query dereferences (re-checksummed, so the flip reaches the
-	// range proofs) and with those regions out of range; and the legacy gob
-	// plain file.
+	// range proofs) and with those regions out of range; one over an empty
+	// transformed text; and the legacy gob plain file.
 	plain := plainFuzzEnvelope(f)
 	f.Add(plain)
+	_, empty := plainEnvelope(f, belowTauMin())
+	f.Add(empty)
 	f.Add(plain[:len(plain)/2])
 	for _, tag := range plainQueryRegions {
 		f.Add(withRegion(f, plain, tag, func(r []byte) []byte {

@@ -146,10 +146,9 @@ func plainFromEnvelope(env *mapped.Envelope, meta envelopeMeta, eager bool) (*In
 		key:     pos,
 		keys:    keys,
 		levels:  meta.levels,
+		longLo:  meta.levels + 1,
+		longHi:  meta.longHi,
 		longCap: EffectiveLongCap(meta.longCap),
-	}
-	if n > 0 {
-		e.longLo, e.longHi = e.levels+1, meta.longHi
 	}
 	if e.dupWords, err = regionU64s(env, tagDupWords, "duplicate bitmaps"); err != nil {
 		return nil, err
@@ -171,11 +170,10 @@ func plainFromEnvelope(env *mapped.Envelope, meta envelopeMeta, eager bool) (*In
 		return nil, fmt.Errorf("%w: %d bitmap words, %d argmaxes and %d long maxima do not fit %d levels over %d positions",
 			ErrCorruptIndex, len(e.dupWords), len(argmax), len(e.longMax), e.levels, n)
 	}
-	srcFn, err := sourceFromEnvelope(env, meta)
-	if err != nil {
+	ix := &Index{engine: e, tauMin: meta.tauMin}
+	if err := ix.open(env, meta); err != nil {
 		return nil, err
 	}
-	ix := &Index{engine: e, tauMin: meta.tauMin, srcLen: meta.srcLen, srcFn: srcFn, env: env}
 	if meta.flags&metaFlagCorr != 0 {
 		// Correlation correction reads the source and the log
 		// probabilities on the query path, so they are resident, not lazy.

@@ -47,6 +47,9 @@ func TestPlainEnvelopeEquivalence(t *testing.T) {
 		{"plain", gen.Single(gen.Config{N: 3000, Theta: 0.3, Seed: 409}), nil},
 		{"correlated", gen.Single(gen.Config{N: 1500, Theta: 0.4, Correlations: 12, Seed: 411}), nil},
 		{"scan fallback", gen.Single(gen.Config{N: 1200, Theta: 0.3, Seed: 413}), []Option{WithLongCap(14)}},
+		// No factor reaches τmin, so the transformed text is empty.
+		{"empty text", belowTauMin(), nil},
+		{"empty string", &ustring.String{}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			built, raw := plainEnvelope(t, tc.s, tc.opts...)
@@ -81,6 +84,13 @@ func TestPlainEnvelopeEquivalence(t *testing.T) {
 					t.Errorf("%s: SourceLen = %d, want %d", label, SourceLen(got), tc.s.Len())
 				}
 				queryGrid(t, tc.s, built, got, tc.name+" "+label)
+				for _, p := range [][]byte{{'A'}, {'A', 'B'}} {
+					a, _ := built.Search(p, 0.1)
+					b, err := got.Search(p, 0.1)
+					if err != nil || !reflect.DeepEqual(a, b) {
+						t.Errorf("%s: Search(%q) = %v, %v; built index answers %v", label, p, b, err, a)
+					}
+				}
 				if !reflect.DeepEqual(got.Source(), tc.s) {
 					t.Errorf("%s: source diverges from the original", label)
 				}
@@ -360,6 +370,16 @@ func TestPlainEnvelopeHostile(t *testing.T) {
 			t.Errorf("hostile region %d: err = %v, want ErrCorruptIndex", i, err)
 		}
 	}
+}
+
+// belowTauMin is a one-position string whose every choice is below the
+// τmin of 0.1 the plain tests build with: its transformed text is empty.
+func belowTauMin() *ustring.String {
+	pos := make(ustring.Position, 11)
+	for k := range pos {
+		pos[k] = ustring.Choice{Char: 'A' + byte(k), Prob: 1.0 / 11}
+	}
+	return &ustring.String{Pos: []ustring.Position{pos}}
 }
 
 // plainFuzzEnvelope is the plain envelope the fuzzers start from: long

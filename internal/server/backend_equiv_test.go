@@ -244,8 +244,8 @@ func TestStatsMemorySection(t *testing.T) {
 	}
 	// Same documents, compressed representation: the savings must show up
 	// in the per-collection figures. Plain counts only the arrays it holds,
-	// which puts these small documents at ≈ 1.8×; 1.5× is the bar.
-	if 3*byName["z"] > 2*byName["p"] {
+	// which puts these small documents at 1.77×; 1.7× is the bar.
+	if 17*byName["z"] > 10*byName["p"] {
 		t.Fatalf("compressed collection reports %d bytes vs plain %d — savings not observable",
 			byName["z"], byName["p"])
 	}
